@@ -73,7 +73,7 @@ def main():
 @click.argument("tensor", type=click.Path())
 @click.option("--slot", type=int, default=0, show_default=True,
               help="0-based slot used as the distinguished slot for zero-set counting.")
-@click.option("--ext-e", type=int, default=1, show_default=True,
+@click.option("--ext-e", type=click.IntRange(min=1), default=1, show_default=True,
               help="Also report the zero-set count over this extension degree.")
 @_lab_errors
 def rank_cmd(tensor, slot, ext_e):
@@ -155,7 +155,7 @@ def pencil_block(kind, size, order, out):
 
 @pencil_group.command("profile")
 @click.argument("pencil_file", type=click.Path())
-@click.option("--ext-e", type=int, default=1, show_default=True)
+@click.option("--ext-e", type=click.IntRange(min=1), default=1, show_default=True)
 @_lab_errors
 def pencil_profile(pencil_file, ext_e):
     """Exact rank at every projective point of the pencil line."""
@@ -170,7 +170,7 @@ def pencil_profile(pencil_file, ext_e):
 
 @pencil_group.command("kr")
 @click.argument("pencil_file", type=click.Path())
-@click.option("--ext-e", type=int, default=4, show_default=True)
+@click.option("--ext-e", type=click.IntRange(min=1), default=4, show_default=True)
 @_lab_errors
 def pencil_kr(pencil_file, ext_e):
     """Kernel-image containment check against the affine rank hypothesis."""
@@ -187,8 +187,8 @@ def pencil_kr(pencil_file, ext_e):
 
 @pencil_group.command("prop22")
 @click.argument("pencil_file", type=click.Path())
-@click.option("--ext-e", type=int, default=4, show_default=True)
-@click.option("--samples", type=int, default=50, show_default=True)
+@click.option("--ext-e", type=click.IntRange(min=1), default=4, show_default=True)
+@click.option("--samples", type=click.IntRange(min=0), default=50, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @_lab_errors
 def pencil_prop22(pencil_file, ext_e, samples, seed):
@@ -212,7 +212,7 @@ def pencil_prop22(pencil_file, ext_e, samples, seed):
 
 @main.command("verify")
 @click.argument("tensor", type=click.Path())
-@click.option("--e-max", type=int, default=3, show_default=True,
+@click.option("--e-max", type=click.IntRange(min=1), default=3, show_default=True,
               help="Extension depth for the codimension estimate.")
 @_lab_errors
 def verify_cmd(tensor, e_max):
@@ -252,7 +252,7 @@ def gowers_cmd(poly, degree):
 @click.argument("config", type=click.Path())
 @click.option("-o", "--out", type=click.Path(), required=True, help="CSV output path.")
 @click.option("--summary", type=click.Path(), default=None, help="JSON summary path.")
-@click.option("--workers", type=int, default=None,
+@click.option("--workers", type=click.IntRange(min=1), default=None,
               help="Worker threads (defaults to the config value).")
 @_lab_errors
 def survey_cmd(config, out, summary, workers):

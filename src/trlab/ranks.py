@@ -3,7 +3,9 @@
 Three quantities are computed exactly at desk scale:
 
 * the zero-set count |{(v2..vd) : P(., v2..vd) = 0 as a functional}| over
-  the base field or an extension, by full enumeration;
+  the base field or an extension, as the sum of Q^(n_d - rank M) over the
+  matrices M left by contracting the middle slots, Q the counting field's
+  order (the bias identity);
 * the analytic rank, both from that count and independently from the
   normalized character sum over the whole domain;
 * the exact slice rank, by iterative deepening over codimension
@@ -27,7 +29,7 @@ from .gfq import FieldCtx
 from .linalg import (Matrix, Subspace, batch_rank, gaussian_binomial, kernel_basis,
                      matmul_arr, rref, subspace_bases)
 
-POINT_CAP = 2 ** 34       # refusal bound on enumerated point tuples
+POINT_CAP = 2 ** 34       # refusal bound on enumerated points or ranked matrices
 GRID_BUDGET = 1 << 22     # max grid cells materialized per vectorized step
 SEARCH_CAP = 5 * 10 ** 6  # refusal bound on subspace-tuple rank tests
 
@@ -68,43 +70,30 @@ def _grid_size(q: int, slot_dims) -> int:
     return out
 
 
-def _count_zero_rec(ctx: FieldCtx, t: np.ndarray, slot_dims: list[int]) -> int:
-    """Tuples over the listed slots on which every leading-axis value is zero.
+def _rank_histogram(ctx: FieldCtx, t: np.ndarray, hist: np.ndarray) -> None:
+    """Add to hist the rank of every matrix t(., ., v2..vk) over all tuples.
 
-    t has shape (n1, m2, ..., mk); the leading axis is not enumerated.
+    t has shape (n1, nd, m2, ..., mk); the trailing slots are enumerated,
+    chunked on the first so no batch holds more than GRID_BUDGET cells.
     """
-    if not slot_dims:
-        return 1 if not t.any() else 0
-    grid = _grid_size(ctx.q, slot_dims)
-    if grid <= GRID_BUDGET:
-        v = t
-        for _ in slot_dims:
-            v = np.moveaxis(v, 1, -1)
-            v = _contract_grid(ctx, v, _all_vectors(ctx, v.shape[-1]))
-        return int((v == 0).all(axis=0).sum())
-    # too large to materialize at once: enumerate the first slot in blocks
-    m2 = slot_dims[0]
-    rest = slot_dims[1:]
-    rest_grid = _grid_size(ctx.q, rest)
-    n_vec = ctx.q ** m2
-    total = 0
-    if rest_grid <= GRID_BUDGET:
-        block = max(1, GRID_BUDGET // rest_grid)
-        for startpos in range(0, n_vec, block):
-            rows = _all_vectors(ctx, m2, startpos, min(startpos + block, n_vec))
-            v = np.moveaxis(_contract_grid(ctx, np.moveaxis(t, 1, -1), rows), -1, 1)
-            for _ in rest:  # v: (n1, B, remaining slots..., grids...)
-                v = np.moveaxis(v, 2, -1)
-                v = _contract_grid(ctx, v, _all_vectors(ctx, v.shape[-1]))
-            total += int((v == 0).all(axis=0).sum())
-        return total
-    block = 1024
+    n1, nd, mids = t.shape[0], t.shape[1], t.shape[2:]
+    if not mids:
+        hist += np.bincount(batch_rank(ctx, t[None]), minlength=hist.size)
+        return
+    rest = n1 * nd * _grid_size(ctx.q, mids[1:])
+    n_vec = ctx.q ** mids[0]
+    block = max(1, GRID_BUDGET // rest)
     for startpos in range(0, n_vec, block):
-        rows = _all_vectors(ctx, m2, startpos, min(startpos + block, n_vec))
-        tb = np.moveaxis(_contract_grid(ctx, np.moveaxis(t, 1, -1), rows), -1, 1)
-        for b in range(rows.shape[0]):
-            total += _count_zero_rec(ctx, tb[:, b], rest)
-    return total
+        rows = _all_vectors(ctx, mids[0], startpos, min(startpos + block, n_vec))
+        v = _contract_grid(ctx, np.moveaxis(t, 2, -1), rows)  # (n1, nd, m3.., B)
+        if rest > GRID_BUDGET:  # block is 1: recurse on the one fixed vector
+            _rank_histogram(ctx, v[..., 0], hist)
+            continue
+        for _ in mids[1:]:
+            v = np.moveaxis(v, 2, -1)
+            v = _contract_grid(ctx, v, _all_vectors(ctx, v.shape[-1]))
+        mats = np.moveaxis(v.reshape(n1, nd, -1), -1, 0)
+        hist += np.bincount(batch_rank(ctx, mats), minlength=hist.size)
 
 
 def _value_bincount(ctx: FieldCtx, t: np.ndarray, slot_dims: list[int]) -> np.ndarray:
@@ -150,25 +139,30 @@ class ZeroSetCount:
 
 
 def zero_set_count(p: MultilinearForm, ext_e: int = 1, cap: int = POINT_CAP) -> ZeroSetCount:
-    """Exact |Z(GF(q^ext_e))| for Z = {(v2..vd) : slot-0 contraction vanishes}.
+    """Exact |Z(GF(Q))|, Q = q^ext_e, for Z = {(v2..vd) : slot-0 contraction vanishes}.
 
-    Counts by enumerating all tuples and testing the contraction, so it is
-    deterministic and independent of any rank shortcut.
+    For d >= 2, |Z| = sum over (v2..v_{d-1}) of Q^(n_d - rank M), where M is
+    the n1 x n_d matrix left after contracting slots 2..d-1: the tuples with
+    a given middle part are the kernel of M.  The cap bounds the number of
+    matrices ranked, Q^(n2 + ... + n_{d-1}).
     """
     if ext_e < 1:
         raise InputError(f"extension degree must be >= 1, got {ext_e}")
     dims = p.dims
     ambient = sum(dims[1:])
     big_q = p.ctx.q ** ext_e
-    total = big_q ** ambient
-    if total > cap:
-        raise CapExceeded(f"zero-set enumeration needs {total} tuples, cap is {cap}",
-                          size=total)
+    n_mats = big_q ** sum(dims[1:-1])
+    if n_mats > cap:
+        raise CapExceeded(f"zero-set count needs {n_mats} matrix ranks, cap is {cap}",
+                          size=n_mats)
     ext, emb = p.ctx.extension(ext_e)
     coeffs = emb[p.coeffs]
     if p.d == 1:
         return ZeroSetCount(1 if not coeffs.any() else 0, ext_e, 0)
-    return ZeroSetCount(_count_zero_rec(ext, coeffs, list(dims[1:])), ext_e, ambient)
+    hist = np.zeros(dims[-1] + 1, dtype=np.int64)
+    _rank_histogram(ext, np.moveaxis(coeffs, -1, 1), hist)
+    count = sum(int(c) * big_q ** (dims[-1] - r) for r, c in enumerate(hist))
+    return ZeroSetCount(count, ext_e, ambient)
 
 
 def analytic_rank_count(p: MultilinearForm, cap: int = POINT_CAP) -> float:
@@ -183,7 +177,9 @@ def analytic_rank_charsum(p: MultilinearForm, j: int = 1, cap: int = POINT_CAP) 
     """-log_q of the normalized character sum magnitude over the full domain.
 
     Agrees with analytic_rank_count within 1e-9 for every multilinear form
-    and does not depend on the character index j.
+    and does not depend on the character index j.  This is the route
+    independent of the rank identity behind zero_set_count: it histograms
+    the form's value at every point and ranks no matrix.
     """
     dims = p.dims
     q = p.ctx.q

@@ -68,6 +68,14 @@ class SurveyConfig:
         return names
 
 
+def _int_entry(obj: dict, key: str, default: int, where: str = "") -> int:
+    """obj[key] (or the default) as a plain int; bools and other types are refused."""
+    val = obj.get(key, default)
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise InputError(f"{where}{key} must be an integer, got {val!r}")
+    return val
+
+
 def config_from_obj(obj) -> SurveyConfig:
     if not isinstance(obj, dict) or not {"field", "dims"} <= set(obj):
         raise InputError("survey config needs at least field and dims")
@@ -86,14 +94,14 @@ def config_from_obj(obj) -> SurveyConfig:
     return SurveyConfig(
         ctx=ctx,
         dims=tuple(dims),
-        count=obj.get("count", 0),
-        seed=obj.get("seed", 0),
+        count=_int_entry(obj, "count", 0),
+        seed=_int_entry(obj, "seed", 0),
         exhaustive=bool(obj.get("exhaustive", False)),
-        e_max=obj.get("e_max", 3),
-        workers=obj.get("workers", 1),
+        e_max=_int_entry(obj, "e_max", 3),
+        workers=_int_entry(obj, "workers", 1),
         checks=checks,
-        point_cap=caps.get("points", POINT_CAP),
-        search_cap=caps.get("search", SEARCH_CAP),
+        point_cap=_int_entry(caps, "points", POINT_CAP, "caps."),
+        search_cap=_int_entry(caps, "search", SEARCH_CAP, "caps."),
     )
 
 

@@ -3,6 +3,8 @@
 Everything here is deliberately naive: scalar field ops, itertools
 enumeration, no shared code with the vectorized library paths beyond the
 FieldCtx scalar arithmetic (which is itself law-tested exhaustively).
+The one exception is enumerated_zero_set_count, the library's former
+vectorized enumeration, kept as a faster oracle for mid-size counts.
 """
 
 import itertools
@@ -12,6 +14,7 @@ import numpy as np
 from trlab.forms import MultilinearForm
 from trlab.gfq import FieldCtx
 from trlab.linalg import Matrix, rref
+from trlab.ranks import _all_vectors, _contract_grid
 
 
 def naive_eval(p: MultilinearForm, vectors) -> int:
@@ -39,6 +42,18 @@ def naive_zero_set_count(p: MultilinearForm, ext_e: int = 1) -> int:
         if all(naive_eval(lifted, (e,) + tail) == 0 for e in basis):
             count += 1
     return count
+
+
+def enumerated_zero_set_count(p: MultilinearForm, ext_e: int = 1) -> int:
+    """Contract slots 2..d with every vector tuple over the extension and
+    count the tuples whose slot-0 functional is zero.  Materializes the
+    whole (n1, Q^n2, ..., Q^nd) grid, so keep it to mid-size cases."""
+    ext, emb = p.ctx.extension(ext_e)
+    v = emb[p.coeffs]
+    for n in p.dims[1:]:
+        v = np.moveaxis(v, 1, -1)
+        v = _contract_grid(ext, v, _all_vectors(ext, n))
+    return int((v == 0).all(axis=0).sum())
 
 
 def naive_charsum_rank(p: MultilinearForm, j: int = 1) -> float:

@@ -85,6 +85,31 @@ def test_exit_code_cap_exceeded(tmp_path):
     assert res.exit_code == 3
 
 
+@pytest.mark.parametrize("args", [
+    ["rank", "{tensor}", "--ext-e", "0"],
+    ["pencil", "profile", "{pencil}", "--ext-e", "0"],
+    ["pencil", "kr", "{pencil}", "--ext-e", "0"],
+    ["pencil", "prop22", "{pencil}", "--ext-e", "0"],
+    ["pencil", "prop22", "{pencil}", "--samples", "-1"],
+    ["verify", "{tensor}", "--e-max", "0"],
+    ["survey", "{config}", "-o", "{csv}", "--workers", "-3"],
+    ["survey", "{config}", "-o", "{csv}", "--workers", "0"],
+])
+def test_exit_code_non_positive_counts(tmp_path, args):
+    ctx = field_new(2, 1)
+    paths = {
+        "tensor": _write(tmp_path, "t.json", tensor_to_obj(gen_random(ctx, (2, 2), 1))),
+        "pencil": _write(tmp_path, "p.json", pencil_to_obj(
+            Pencil(Matrix.identity(ctx, 2), Matrix.identity(ctx, 2)))),
+        "config": _write(tmp_path, "c.json", {"field": {"p": 2, "e": 1},
+                                              "dims": [2, 2], "count": 1}),
+        "csv": str(tmp_path / "out.csv"),
+    }
+    res = runner.invoke(main, [a.format(**paths) for a in args])
+    assert res.exit_code == 2
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_pencil_block_profile_kr(tmp_path):
     blk = str(tmp_path / "b.json")
     res = runner.invoke(main, ["pencil", "block", "--kind", "Ln", "--n", "2",

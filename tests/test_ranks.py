@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import (naive_charsum_rank, naive_slice_rank, naive_subspace_rank,
-                     naive_zero_set_count, random_invertible)
+from oracles import (enumerated_zero_set_count, naive_charsum_rank, naive_slice_rank,
+                     naive_subspace_rank, naive_zero_set_count, random_invertible)
 from trlab.errors import CapExceeded, InputError
 from trlab.forms import (MultilinearForm, gen_diagonal, gen_from_matrix,
                          gen_random, gen_rank_one)
@@ -85,6 +87,70 @@ def test_zero_count_chunked_path_matches():
         assert zero_set_count(p).count == want
     finally:
         R.GRID_BUDGET = old
+
+
+ORACLE_GRID = 1 << 16  # largest Q^(n2+...+nd) the enumeration oracle is run on
+
+
+@st.composite
+def _zero_count_cases(draw):
+    """(p, e0, dims, ext_e, seed); seed None is the zero form."""
+    p, e0 = draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]))
+    q = p ** e0
+    top = int(math.log(ORACLE_GRID) / math.log(q) + 1e-9)  # base-field ambient room
+    d = draw(st.integers(1, 4))
+    dims = [draw(st.integers(1, 3))]
+    for i in range(1, d):
+        room = top - sum(dims[1:]) - (d - 1 - i)
+        dims.append(draw(st.integers(1, min(3, room))))
+    ambient = sum(dims[1:])
+    e_top = max(e for e in (1, 2, 3) if (q ** e) ** ambient <= ORACLE_GRID)
+    ext_e = draw(st.integers(1, e_top))
+    seed = draw(st.none() | st.integers(0, 2 ** 31))
+    return p, e0, tuple(dims), ext_e, seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_zero_count_cases())
+@example(case=(2, 1, (3,), 2, 4))              # d = 1, nonzero
+@example(case=(3, 1, (2,), 1, None))           # d = 1, zero form
+@example(case=(3, 2, (3, 2), 2, 7))            # d = 2, n1 != nd, GF(9) -> GF(81)
+@example(case=(2, 2, (4, 1, 3), 1, 3))         # a 1 in the middle slot
+@example(case=(3, 1, (2, 1, 2), 3, 11))        # odd-p lift, e = 3
+@example(case=(2, 1, (2, 2, 2, 2), 2, 5))      # d = 4, p = 2 lift
+@example(case=(3, 1, (2, 2, 2, 2), 1, 13))     # d = 4, recursive chunking at budget 16
+@example(case=(2, 2, (2, 1, 1), 3, 9))         # GF(4) -> GF(64)
+@example(case=(3, 2, (3, 3, 2), 1, None))      # zero form over GF(9)
+def test_zero_count_matches_oracles(case):
+    import trlab.ranks as R
+    p_char, e0, dims, ext_e, seed = case
+    ctx = field_new(p_char, e0)
+    p = (MultilinearForm(ctx, np.zeros(dims, dtype=np.int64)) if seed is None
+         else gen_random(ctx, dims, seed))
+    got = zero_set_count(p, ext_e).count
+    assert got == enumerated_zero_set_count(p, ext_e)
+    big_q = ctx.q ** ext_e
+    if big_q ** sum(dims[1:]) * math.prod(dims) <= 2048:
+        assert got == naive_zero_set_count(p, ext_e)
+    if big_q ** sum(dims[1:-1]) <= 729:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(R, "GRID_BUDGET", 16)
+            assert zero_set_count(p, ext_e).count == got
+
+
+def test_zero_count_cap_bounds_ranked_matrices():
+    # 3x3x3 over F2 ranks 2^3 matrices (one per middle vector), not 2^6 tuples
+    p = gen_random(F2, (3, 3, 3), 1)
+    assert zero_set_count(p, cap=8).count == enumerated_zero_set_count(p)
+    with pytest.raises(CapExceeded) as exc:
+        zero_set_count(p, cap=7)
+    assert exc.value.size == 8 and "matrix ranks" in str(exc.value)
+    # refused on the count itself, before the too-large GF(5^9) is built
+    with pytest.raises(CapExceeded) as exc:
+        zero_set_count(gen_random(F5, (3, 3, 3), 0), 9)
+    assert exc.value.size == (5 ** 9) ** 3
+    # a bilinear count is one rank, whatever the field
+    assert zero_set_count(gen_random(F3, (3, 4), 2), 2, cap=1).count >= 1
 
 
 # -- analytic rank --------------------------------------------------------------

@@ -3,8 +3,10 @@
 import json
 
 import pytest
+from click.testing import CliRunner
 
 from trlab.checks import CheckOutcome
+from trlab.cli import main
 from trlab.errors import InputError, SurveyViolation
 from trlab.gfq import field_new
 from trlab.survey import SurveyConfig, config_from_obj, run_survey
@@ -114,6 +116,29 @@ def test_config_parsing_and_validation():
     with pytest.raises(InputError):
         SurveyConfig(ctx=F2, dims=(2, 2, 2), count=1, seed=0,
                      checks=("no_such_check",))
+
+
+@pytest.mark.parametrize("key,bad", [
+    ("count", "5"), ("count", True), ("count", 2.0),
+    ("seed", "7"), ("seed", False),
+    ("e_max", "2"), ("e_max", 1.5),
+    ("workers", None), ("workers", True),
+    ("caps.points", "big"), ("caps.points", True),
+    ("caps.search", [1]), ("caps.search", 1e6),
+])
+def test_config_refuses_non_integer_entries(tmp_path, key, bad):
+    obj = {"field": {"p": 2, "e": 1}, "dims": [2, 2], "count": 1}
+    if key.startswith("caps."):
+        obj["caps"] = {key.split(".")[1]: bad}
+    else:
+        obj[key] = bad
+    with pytest.raises(InputError) as exc:
+        config_from_obj(obj)
+    assert key.split(".")[-1] in str(exc.value)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(obj))
+    res = CliRunner().invoke(main, ["survey", str(path), "-o", str(tmp_path / "o.csv")])
+    assert res.exit_code == 2
 
 
 def test_config_refuses_chain_check_at_small_q():
