@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import CapExceeded, InputError
 from .forms import MultilinearForm, PolynomialFn, polarize
-from .ranks import (POINT_CAP, SEARCH_CAP, SchmidtRank, _value_bincount,
-                    analytic_rank_count, codim_estimate, slice_rank_exact,
-                    zero_set_count)
+from .gfq import digits
+from .ranks import (POINT_CAP, SEARCH_CAP, SchmidtRank, analytic_rank_count,
+                    character_sum, codim_estimate, slice_rank_exact, zero_set_count)
 
 TOLERANCE = 1e-9
 HEURISTIC_POINT_CAP = 1 << 22  # per-extension budget for the codim estimate
@@ -194,11 +194,7 @@ def gowers_norm_power(q: PolynomialFn, d: int, cap: int = POINT_CAP) -> float:
     fvals = q.ctx.char_table(1)[q.evaluate_all()]
     # vector addition table on encoded points
     pts = np.arange(npts, dtype=np.int64)
-    coords = np.empty((npts, n), dtype=np.int64)
-    t = pts.copy()
-    for j in range(n):
-        coords[:, j] = t % p
-        t //= p
+    coords = digits(pts, p, n)
     pw = np.array([p ** j for j in range(n)], dtype=np.int64)
     vadd = ((coords[:, None, :] + coords[None, :, :]) % p) @ pw
     axes = [pts.reshape((1,) * i + (npts,) + (1,) * (d - 1 - i)) for i in range(d)]
@@ -220,13 +216,7 @@ def gowers_norm_power(q: PolynomialFn, d: int, cap: int = POINT_CAP) -> float:
 
 def multilinear_bias(p: MultilinearForm, cap: int = POINT_CAP) -> float:
     """Normalized character sum of a form over its whole domain (real, positive)."""
-    q = p.ctx.q
-    total = q ** sum(p.dims)
-    if total > cap:
-        raise CapExceeded(f"bias needs {total} points, cap is {cap}", size=total)
-    counts = _value_bincount(p.ctx, p.coeffs, list(p.dims))
-    val = complex(counts @ p.ctx.char_table(1)) / total
-    return float(val.real)
+    return float(character_sum(p, 1, cap).real)
 
 
 def gowers_bias_identity(q: PolynomialFn, d: int, cap: int = POINT_CAP) -> CheckOutcome:

@@ -17,7 +17,6 @@ from . import checks as checks_mod
 from . import forms, pencils, ranks, survey
 from .errors import CapExceeded, InputError, LabError
 from .gfq import field_from_order
-from .linalg import Matrix, rref
 
 
 def _load_json(path):
@@ -235,7 +234,7 @@ def verify_cmd(tensor, e_max):
 
 @main.command("gowers")
 @click.argument("poly", type=click.Path())
-@click.option("--d", "degree", type=int, required=True)
+@click.option("--d", "degree", type=click.IntRange(min=1), required=True)
 @_lab_errors
 def gowers_cmd(poly, degree):
     """Check the uniformity-norm identity for a polynomial JSON file."""

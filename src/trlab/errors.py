@@ -13,6 +13,13 @@ class InputError(LabError):
     exit_code = 2
 
 
+def json_int(val, what: str) -> int:
+    """val as a plain int; JSON true/false and every non-integer are refused."""
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise InputError(f"{what} must be an integer, got {val!r}")
+    return val
+
+
 class CapExceeded(LabError):
     """A configured enumeration/size cap would be exceeded.
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, InputError
-from .gfq import FieldCtx, descriptor, field_from_descriptor
-from .linalg import Matrix, Subspace
+from .errors import CapExceeded, InputError, json_int
+from .gfq import FieldCtx, descriptor, digits, field_from_descriptor
+from .linalg import Matrix, Subspace, field_dot
 
 COEFF_CAP = 10 ** 7  # dense storage bound on prod(dims)
 
@@ -59,34 +59,9 @@ class MultilinearForm:
         return f"MultilinearForm(GF({self.ctx.q}), dims={self.dims})"
 
 
-def contract_axis_arr(ctx: FieldCtx, t: np.ndarray, axis: int, v: np.ndarray) -> np.ndarray:
-    """Contract one tensor axis with a vector of element encodings."""
-    v = np.asarray(v, dtype=np.int64)
-    if ctx.e == 1:
-        return np.tensordot(v, t, axes=(0, axis)) % ctx.p
-    tm = np.moveaxis(t, axis, 0)
-    out = np.zeros(tm.shape[1:], dtype=np.int64)
-    for i in range(tm.shape[0]):
-        if v[i]:
-            out = ctx.add_arr(out, ctx.mul_arr(tm[i], v[i]))
-    return out
-
-
 def restrict_axis_arr(ctx: FieldCtx, t: np.ndarray, axis: int, basis: np.ndarray) -> np.ndarray:
     """Replace one axis by its restriction to the row span of `basis` (k x n)."""
-    basis = np.asarray(basis, dtype=np.int64)
-    if ctx.e == 1:
-        out = np.tensordot(basis, t, axes=(1, axis)) % ctx.p
-        return np.moveaxis(out, 0, axis)
-    tm = np.moveaxis(t, axis, 0)
-    k = basis.shape[0]
-    out = np.zeros((k,) + tm.shape[1:], dtype=np.int64)
-    for i in range(tm.shape[0]):
-        col = basis[:, i]
-        if col.any():
-            shaped = col.reshape((k,) + (1,) * (tm.ndim - 1))
-            out = ctx.add_arr(out, ctx.mul_arr(shaped, tm[i][None, ...]))
-    return np.moveaxis(out, 0, axis)
+    return np.moveaxis(field_dot(ctx, basis, np.moveaxis(t, axis, 0)), 0, axis)
 
 
 def evaluate(p: MultilinearForm, *vectors) -> int:
@@ -98,7 +73,7 @@ def evaluate(p: MultilinearForm, *vectors) -> int:
         v = np.asarray(v, dtype=np.int64)
         if v.shape != (p.dims[slot],):
             raise InputError(f"slot {slot} expects a vector of length {p.dims[slot]}")
-        t = contract_axis_arr(p.ctx, t, 0, v)
+        t = field_dot(p.ctx, v, t)
     return int(t)
 
 
@@ -111,7 +86,7 @@ def contract(p: MultilinearForm, slot: int, v) -> MultilinearForm:
     v = np.asarray(v, dtype=np.int64)
     if v.shape != (p.dims[slot],):
         raise InputError(f"slot {slot} expects a vector of length {p.dims[slot]}")
-    return MultilinearForm(p.ctx, contract_axis_arr(p.ctx, p.coeffs, slot, v))
+    return MultilinearForm(p.ctx, field_dot(p.ctx, v, np.moveaxis(p.coeffs, slot, 0)))
 
 
 def flatten(p: MultilinearForm, slot: int) -> Matrix:
@@ -238,12 +213,7 @@ class PolynomialFn:
         """Values on all p^n points, indexed by base-p encoding of the point."""
         p, n = self.ctx.p, self.n
         npts = p ** n
-        pts = np.arange(npts, dtype=np.int64)
-        coords = np.empty((npts, n), dtype=np.int64)
-        t = pts.copy()
-        for j in range(n):
-            coords[:, j] = t % p
-            t //= p
+        coords = digits(np.arange(npts), p, n)
         out = np.zeros(npts, dtype=np.int64)
         for exps, coeff in self.terms:
             if coeff % p == 0:
@@ -315,7 +285,7 @@ def tensor_from_obj(obj) -> MultilinearForm:
     ctx = field_from_descriptor(obj["field"])
     dims = obj["dims"]
     if (not isinstance(dims, list) or not dims
-            or any(not isinstance(n, int) or n < 1 for n in dims)):
+            or any(json_int(n, "dims entry") < 1 for n in dims)):
         raise InputError("dims must be a nonempty list of positive integers")
     coeffs = obj["coeffs"]
     want = math.prod(dims)
@@ -338,8 +308,8 @@ def poly_from_obj(obj) -> PolynomialFn:
     if not isinstance(obj, dict) or not {"field", "n", "terms"} <= set(obj):
         raise InputError("polynomial object needs keys field, n, terms")
     ctx = field_from_descriptor(obj["field"])
-    n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    n = json_int(obj["n"], "n")
+    if n < 1:
         raise InputError("n must be a positive integer")
     terms = []
     if not isinstance(obj["terms"], list):
@@ -350,5 +320,6 @@ def poly_from_obj(obj) -> PolynomialFn:
         exps = t["exps"]
         if not isinstance(exps, list) or len(exps) != n:
             raise InputError("exps must be a list of length n")
-        terms.append((tuple(int(e) for e in exps), int(t["coeff"])))
+        terms.append((tuple(json_int(e, "exponent") for e in exps),
+                      json_int(t["coeff"], "coeff")))
     return PolynomialFn(ctx, n, tuple(terms))

@@ -27,11 +27,23 @@ import math
 
 import numpy as np
 
-from .errors import CapExceeded, InputError
+from .errors import CapExceeded, InputError, json_int
 
 SIZE_CAP = 1 << 20       # largest field order the lab will construct
-FULL_TABLE_MAX = 1 << 10  # dense q x q add/mul tables below this order
-LOG_TABLE_MAX = 1 << 16   # log/exp (Zech-style) acceleration below this order
+FULL_TABLE_MAX = 1 << 10  # dense q x q multiplication table up to this order
+# log/exp, inverse, trace and digit tables up to this order; log/exp only
+# serve to build the inverse and multiplication tables
+LOG_TABLE_MAX = 1 << 16
+
+
+def digits(x, base: int, n: int) -> np.ndarray:
+    """Base-`base` digits of x, least significant first: shape x.shape + (n,)."""
+    t = np.array(x, dtype=np.int64)
+    out = np.empty(t.shape + (n,), dtype=np.int64)
+    for j in range(n):
+        out[..., j] = t % base
+        t //= base
+    return out
 
 
 def _is_prime(n: int) -> bool:
@@ -170,12 +182,7 @@ def _is_irreducible(coeffs, p: int) -> bool:
 def _least_irreducible(p: int, e: int) -> tuple[int, ...]:
     """Smallest-encoding monic irreducible of degree e over GF(p)."""
     for enc in range(p ** e):
-        low = []
-        t = enc
-        for _ in range(e):
-            low.append(t % p)
-            t //= p
-        cand = (*low, 1)
+        cand = (*(int(c) for c in digits(enc, p, e)), 1)
         if _is_irreducible(cand, p):
             return cand
     raise RuntimeError("no irreducible polynomial found")  # unreachable
@@ -192,7 +199,7 @@ class FieldCtx:
     __slots__ = (
         "p", "e", "q", "modulus",
         "_dig", "_pw", "_exp", "_log", "_inv", "_trace", "_red",
-        "_mul_t", "_add_t", "_char_cache", "_ext_cache",
+        "_mul_t", "_char_cache", "_ext_cache",
     )
 
     def __init__(self, p: int, e: int):
@@ -228,16 +235,7 @@ class FieldCtx:
         else:
             self._red = None
 
-        if e > 1 and q <= LOG_TABLE_MAX:
-            vals = np.arange(q, dtype=np.int64)
-            dig = np.empty((q, e), dtype=np.int64)
-            t = vals.copy()
-            for j in range(e):
-                dig[:, j] = t % p
-                t //= p
-            self._dig = dig
-        else:
-            self._dig = None
+        self._dig = digits(np.arange(q), p, e) if e > 1 and q <= LOG_TABLE_MAX else None
 
         if q <= LOG_TABLE_MAX:
             self._exp, self._log = self._build_logexp()
@@ -251,21 +249,13 @@ class FieldCtx:
             self._exp = self._log = self._inv = self._trace = None
 
         if q <= FULL_TABLE_MAX:
-            a = np.arange(q, dtype=np.int64)
             lg = self._log
             mul = np.zeros((q, q), dtype=np.int64)
             if q > 1:
                 mul[1:, 1:] = self._exp[(lg[1:, None] + lg[None, 1:]) % (q - 1)]
             self._mul_t = mul
-            if p == 2:
-                self._add_t = a[:, None] ^ a[None, :]
-            elif e == 1:
-                self._add_t = (a[:, None] + a[None, :]) % p
-            else:
-                s = (self._dig[:, None, :] + self._dig[None, :, :]) % p
-                self._add_t = s @ self._pw
         else:
-            self._mul_t = self._add_t = None
+            self._mul_t = None
 
     # -- construction helpers -------------------------------------------
 
@@ -321,17 +311,11 @@ class FieldCtx:
             p, e = self.p, self.e
             m = np.empty((e, e), dtype=np.int64)
             for j in range(e):
-                col = self._mul_scalar_raw(gb, int(self._pw[j]))
-                m[:, j] = [(col // int(pp)) % p for pp in self._pw]
+                m[:, j] = digits(self._mul_scalar_raw(gb, int(self._pw[j])), p, e)
             pos = block
             while pos < q - 1:
                 n = min(block, q - 1 - pos)
-                prev = exp[pos - block: pos - block + n]
-                dig = np.empty((n, e), dtype=np.int64)
-                t = prev.copy()
-                for j in range(e):
-                    dig[:, j] = t % p
-                    t //= p
+                dig = digits(exp[pos - block: pos - block + n], p, e)
                 exp[pos: pos + n] = ((dig @ m.T) % p) @ self._pw
                 pos += n
         log = np.zeros(q, dtype=np.int64)
@@ -433,14 +417,6 @@ class FieldCtx:
 
     # -- vectorized API (numpy int64 arrays, broadcasting) ----------------
 
-    def _digits_arr(self, x: np.ndarray) -> np.ndarray:
-        dig = np.empty(x.shape + (self.e,), dtype=np.int64)
-        t = np.asarray(x, dtype=np.int64).copy()
-        for j in range(self.e):
-            dig[..., j] = t % self.p
-            t //= self.p
-        return dig
-
     def add_arr(self, x, y):
         x = np.asarray(x, dtype=np.int64)
         y = np.asarray(y, dtype=np.int64)
@@ -449,7 +425,7 @@ class FieldCtx:
         if self.e == 1:
             return (x + y) % self.p
         x, y = np.broadcast_arrays(x, y)
-        s = (self._digits_arr(x) + self._digits_arr(y)) % self.p
+        s = (digits(x, self.p, self.e) + digits(y, self.p, self.e)) % self.p
         return s @ self._pw
 
     def neg_arr(self, x):
@@ -458,7 +434,7 @@ class FieldCtx:
             return x.copy()
         if self.e == 1:
             return (-x) % self.p
-        return ((-self._digits_arr(x)) % self.p) @ self._pw
+        return ((-digits(x, self.p, self.e)) % self.p) @ self._pw
 
     def sub_arr(self, x, y):
         return self.add_arr(x, self.neg_arr(y))
@@ -471,7 +447,7 @@ class FieldCtx:
         if self._mul_t is not None:
             return self._mul_t[x, y]
         x, y = np.broadcast_arrays(x, y)
-        dx, dy = self._digits_arr(x), self._digits_arr(y)
+        dx, dy = digits(x, self.p, self.e), digits(y, self.p, self.e)
         e = self.e
         conv = np.zeros(x.shape + (2 * e - 1,), dtype=np.int64)
         for i in range(e):
@@ -501,7 +477,7 @@ class FieldCtx:
         if self._trace is not None:
             return self._trace[x]
         row = self._trace_row()
-        return (self._digits_arr(x) @ row) % self.p
+        return (digits(x, self.p, self.e) @ row) % self.p
 
     # -- characters --------------------------------------------------------
 
@@ -551,10 +527,10 @@ class FieldCtx:
             powers = [1]
             for _ in range(1, self.e):
                 powers.append(ext.mul(powers[-1], root))
-            dig = self._digits_arr(np.arange(self.q, dtype=np.int64))
-            emb = np.zeros(self.q, dtype=np.int64)
-            for jdx, pw in enumerate(powers):
-                emb = ext.add_arr(emb, ext.mul_arr(dig[:, jdx], np.int64(pw)))
+            # x = sum_j d_j alpha^j maps to sum_j d_j root^j; the d_j lie in
+            # GF(p), so this is an integer map on digit vectors mod p
+            img = digits(np.array(powers), self.p, ext.e)
+            emb = ((digits(np.arange(self.q), self.p, self.e) @ img) % self.p) @ ext._pw
         self._ext_cache[k] = (ext, emb)
         return ext, emb
 
@@ -612,7 +588,4 @@ def descriptor(ctx: FieldCtx) -> dict:
 def field_from_descriptor(obj) -> FieldCtx:
     if not isinstance(obj, dict) or set(obj) != {"p", "e"}:
         raise InputError("field descriptor must be an object with keys p and e")
-    p, e = obj["p"], obj["e"]
-    if not isinstance(p, int) or not isinstance(e, int):
-        raise InputError("field descriptor entries must be integers")
-    return field_new(p, e)
+    return field_new(json_int(obj["p"], "field p"), json_int(obj["e"], "field e"))

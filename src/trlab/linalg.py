@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import CapExceeded, InputError
-from .gfq import FieldCtx
+from .gfq import FieldCtx, digits
 
 SUBSPACE_CAP = 10 ** 7  # default refusal bound on enumerated subspace counts
+EXHAUSTIVE_SPAN_CAP = 10 ** 5  # largest q^dim(span) whose elements are all enumerated
 
 
 def _as_field_array(ctx: FieldCtx, data, ndim: int) -> np.ndarray:
@@ -61,19 +63,10 @@ class Matrix:
     def mul(self, other: "Matrix") -> "Matrix":
         if self.ctx != other.ctx or self.cols != other.rows:
             raise InputError("matrix product shape/field mismatch")
-        return Matrix(self.ctx, matmul_arr(self.ctx, self.data, other.data))
+        return Matrix(self.ctx, field_dot(self.ctx, self.data, other.data))
 
     def mat_vec(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=np.int64)
-        return matmul_arr(self.ctx, self.data, v.reshape(-1, 1))[:, 0]
-
-    def add(self, other: "Matrix") -> "Matrix":
-        if self.ctx != other.ctx or self.data.shape != other.data.shape:
-            raise InputError("matrix sum shape/field mismatch")
-        return Matrix(self.ctx, self.ctx.add_arr(self.data, other.data))
-
-    def scale(self, c: int) -> "Matrix":
-        return Matrix(self.ctx, self.ctx.mul_arr(self.data, np.int64(c)))
+        return field_dot(self.ctx, self.data, v)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.ctx == other.ctx
@@ -87,18 +80,53 @@ class Matrix:
         return f"Matrix({self.ctx!r}, {self.data.tolist()!r})"
 
 
-def matmul_arr(ctx: FieldCtx, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Field matrix product on raw arrays, shapes (..., m, k) @ (..., k, n)."""
+def field_dot(ctx: FieldCtx, x, y) -> np.ndarray:
+    """Field contraction of the last axis of x with the first axis of y.
+
+    The semantics of np.tensordot(x, y, 1): the result has shape
+    x.shape[:-1] + y.shape[1:].  Every contraction in the lab goes through
+    here; move the contracted axis into place with np.moveaxis.
+    """
     x = np.asarray(x, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
-    if ctx.e == 1:
-        return (x @ y) % ctx.p
     k = x.shape[-1]
-    shape = np.broadcast_shapes(x.shape[:-2], y.shape[:-2]) + (x.shape[-2], y.shape[-1])
+    shape = x.shape[:-1] + y.shape[1:]
+    if ctx.e == 1:
+        # explicit m and n, so that zero-size axes reshape too
+        m, n = math.prod(x.shape[:-1]), math.prod(y.shape[1:])
+        return ((x.reshape(m, k) @ y.reshape(k, n)) % ctx.p).reshape(shape)
+    pad = (Ellipsis,) + (None,) * (y.ndim - 1)
     out = np.zeros(shape, dtype=np.int64)
-    for t in range(k):
-        out = ctx.add_arr(out, ctx.mul_arr(x[..., :, t, None], y[..., None, t, :]))
+    for i in range(k):
+        xi = x[..., i]
+        if xi.any():
+            out = ctx.add_arr(out, ctx.mul_arr(xi[pad], y[i]))
     return out
+
+
+def all_vectors(ctx: FieldCtx, n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Vectors of GF(q)^n with encodings in [start, stop), one per row.
+
+    Row r encodes the vector whose j-th coordinate is digit j of r in base q.
+    """
+    if stop is None:
+        stop = ctx.q ** n
+    return digits(np.arange(start, stop), ctx.q, n)
+
+
+def span_basis(mats) -> tuple[FieldCtx, tuple[int, int], np.ndarray]:
+    """(field, shape, basis) of the span of equal-shape matrices; the basis is
+    the nonzero RREF rows of the flattened matrices, reshaped, (dim, rows, cols)."""
+    mats = list(mats)
+    if not mats:
+        raise InputError("need at least one matrix")
+    ctx = mats[0].ctx
+    shape = mats[0].data.shape
+    if any(m.ctx != ctx or m.data.shape != shape for m in mats):
+        raise InputError("all matrices must share field and shape")
+    flat = np.stack([m.data.reshape(-1) for m in mats])
+    red = rref(Matrix(ctx, flat))
+    return ctx, shape, red.matrix.data[:red.rank].reshape(red.rank, *shape)
 
 
 class RrefResult(NamedTuple):

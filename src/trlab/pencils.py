@@ -9,10 +9,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapExceeded, InputError
+from .errors import CapExceeded, InputError, json_int
 from .gfq import FieldCtx, descriptor, field_from_descriptor
-from .linalg import (Matrix, Subspace, batch_rank, image_basis, kernel_basis,
-                     left_kernel_basis, matmul_arr, rref)
+from .linalg import (EXHAUSTIVE_SPAN_CAP, Matrix, Subspace, all_vectors, batch_rank,
+                     field_dot, image_basis, kernel_basis, left_kernel_basis, rref,
+                     span_basis)
 
 PROFILE_CAP = 10 ** 6  # bound on projective points per rank profile
 
@@ -132,7 +133,7 @@ def kernel_image_check(pencil: Pencil, ext_e: int = 4) -> KernelImageReport:
     if ker.dim == 0:
         concl = True
     else:
-        mapped = matmul_arr(ctx, pencil.b.data, ker.basis.T).T  # rows: B k
+        mapped = field_dot(ctx, ker.basis, pencil.b.data.T)  # rows: B k
         concl = image_basis(pencil.a).contains_vectors(mapped)
     return KernelImageReport(hyp_base, hyp_ext, bool(concl), rank_a, ext_e)
 
@@ -159,7 +160,7 @@ def radical_restriction_check(b: Matrix, c: Matrix, ext_e: int = 4) -> RadicalRe
     hyp = bool((ranks <= rank_b).all())
     s_u = left_kernel_basis(b)
     s_v = kernel_basis(b)
-    restr = matmul_arr(ctx, matmul_arr(ctx, s_u.basis, c.data), s_v.basis.T)
+    restr = field_dot(ctx, field_dot(ctx, s_u.basis, c.data), s_v.basis.T)
     concl = not restr.any()
     return RadicalRestrictionReport(hyp, bool(concl), (not hyp) or bool(concl),
                                     rank_b, ext_e)
@@ -186,31 +187,6 @@ class MaxRankReduction:
     tried_ext: int
 
 
-EXHAUSTIVE_SPAN_CAP = 10 ** 5
-
-
-def _span_basis(mats) -> tuple[FieldCtx, tuple[int, int], np.ndarray]:
-    mats = list(mats)
-    if not mats:
-        raise InputError("need at least one matrix")
-    ctx = mats[0].ctx
-    shape = mats[0].data.shape
-    if any(m.ctx != ctx or m.data.shape != shape for m in mats):
-        raise InputError("all matrices must share field and shape")
-    flat = np.stack([m.data.reshape(-1) for m in mats])
-    red = rref(Matrix(ctx, flat))
-    return ctx, shape, red.matrix.data[:red.rank].reshape(red.rank, *shape)
-
-
-def _combine(ctx: FieldCtx, coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    if ctx.e == 1:
-        return np.tensordot(coeffs, basis, axes=(1, 0)) % ctx.p
-    out = np.zeros((coeffs.shape[0],) + basis.shape[1:], dtype=np.int64)
-    for j in range(basis.shape[0]):
-        out = ctx.add_arr(out, ctx.mul_arr(coeffs[:, j, None, None], basis[j][None]))
-    return out
-
-
 def _verify_pair(field: FieldCtx, span_mats: np.ndarray, m: Matrix) -> tuple[bool, Subspace, Subspace]:
     w = kernel_basis(m)
     v = image_basis(m)
@@ -218,7 +194,7 @@ def _verify_pair(field: FieldCtx, span_mats: np.ndarray, m: Matrix) -> tuple[boo
     for l in span_mats:
         if w.dim == 0:
             break
-        mapped = matmul_arr(field, l, w.basis.T).T
+        mapped = field_dot(field, w.basis, l.T)
         if not v.contains_vectors(mapped):
             ok = False
             break
@@ -236,7 +212,7 @@ def max_rank_reduction(mats, ext_e: int = 4, samples: int = 50, seed: int = 0) -
     """
     if ext_e < 1:
         raise InputError(f"extension degree must be >= 1, got {ext_e}")
-    ctx, shape, basis = _span_basis(mats)
+    ctx, shape, basis = span_basis(mats)
     dim_l = basis.shape[0]
     if dim_l == 0:
         full = Subspace.full(ctx, shape[1])
@@ -244,22 +220,19 @@ def max_rank_reduction(mats, ext_e: int = 4, samples: int = 50, seed: int = 0) -
         return MaxRankReduction(True, 0, full, zero, False, 1, 1, 0)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     if ctx.q ** dim_l <= EXHAUSTIVE_SPAN_CAP:
-        from .ranks import _all_vectors
-        base_coeffs = _all_vectors(ctx, dim_l)
+        base_coeffs = all_vectors(ctx, dim_l)
     else:
         base_coeffs = np.vstack([np.eye(dim_l, dtype=np.int64),
                                  rng.integers(0, ctx.q, size=(samples, dim_l), dtype=np.int64)])
-    base_mats = _combine(ctx, base_coeffs, basis)
+    base_mats = field_dot(ctx, base_coeffs, basis)
     base_ranks = batch_rank(ctx, base_mats)
 
     ext, emb = ctx.extension(ext_e)
     ebasis = emb[basis]
     ext_rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-    ext_coeffs = ext_rng.integers(0, ext.q, size=(samples, dim_l), dtype=np.int64) \
-        if samples > 0 else np.zeros((0, dim_l), dtype=np.int64)
-    ext_mats = _combine(ext, ext_coeffs, ebasis) if ext_coeffs.size else \
-        np.zeros((0,) + shape, dtype=np.int64)
-    ext_ranks = batch_rank(ext, ext_mats) if ext_mats.shape[0] else np.zeros(0, dtype=np.int64)
+    ext_coeffs = ext_rng.integers(0, ext.q, size=(samples, dim_l), dtype=np.int64)
+    ext_mats = field_dot(ext, ext_coeffs, ebasis)
+    ext_ranks = batch_rank(ext, ext_mats)
 
     rtilde = int(max(base_ranks.max(initial=0), ext_ranks.max(initial=0)))
     tried_base = tried_ext = 0
@@ -293,8 +266,8 @@ def pencil_from_obj(obj) -> Pencil:
     if not isinstance(obj, dict) or not {"field", "rows", "cols", "A", "B"} <= set(obj):
         raise InputError("pencil object needs keys field, rows, cols, A, B")
     ctx = field_from_descriptor(obj["field"])
-    rows, cols = obj["rows"], obj["cols"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 0 or cols < 0:
+    rows, cols = json_int(obj["rows"], "rows"), json_int(obj["cols"], "cols")
+    if rows < 0 or cols < 0:
         raise InputError("rows and cols must be nonnegative integers")
     out = []
     for key in ("A", "B"):

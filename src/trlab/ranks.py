@@ -24,43 +24,15 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import CapExceeded, InputError
-from .forms import MultilinearForm, flatten, restrict_axis_arr
+from .forms import MultilinearForm, restrict_axis_arr
 from .gfq import FieldCtx
-from .linalg import (Matrix, Subspace, batch_rank, gaussian_binomial, kernel_basis,
-                     matmul_arr, rref, subspace_bases)
+from .linalg import (EXHAUSTIVE_SPAN_CAP, Matrix, Subspace, all_vectors, batch_rank,
+                     field_dot, gaussian_binomial, kernel_basis, rref, span_basis,
+                     subspace_bases)
 
 POINT_CAP = 2 ** 34       # refusal bound on enumerated points or ranked matrices
 GRID_BUDGET = 1 << 22     # max grid cells materialized per vectorized step
 SEARCH_CAP = 5 * 10 ** 6  # refusal bound on subspace-tuple rank tests
-
-
-def _all_vectors(ctx: FieldCtx, n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Vectors of GF(q)^n with encodings in [start, stop), one per row.
-
-    Row r encodes the vector whose j-th coordinate is digit j of r in base q.
-    """
-    q = ctx.q
-    if stop is None:
-        stop = q ** n
-    enc = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((enc.size, n), dtype=np.int64)
-    t = enc.copy()
-    for j in range(n):
-        out[:, j] = t % q
-        t //= q
-    return out
-
-
-def _contract_grid(ctx: FieldCtx, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Contract the last axis of t with every row of x: (..., m) -> (..., G)."""
-    if ctx.e == 1:
-        return (t @ x.T) % ctx.p
-    out = np.zeros(t.shape[:-1] + (x.shape[0],), dtype=np.int64)
-    for k in range(t.shape[-1]):
-        col = x[:, k]
-        if col.any():
-            out = ctx.add_arr(out, ctx.mul_arr(t[..., k, None], col))
-    return out
 
 
 def _grid_size(q: int, slot_dims) -> int:
@@ -70,65 +42,43 @@ def _grid_size(q: int, slot_dims) -> int:
     return out
 
 
-def _rank_histogram(ctx: FieldCtx, t: np.ndarray, hist: np.ndarray) -> None:
-    """Add to hist the rank of every matrix t(., ., v2..vk) over all tuples.
+def _grid_blocks(ctx: FieldCtx, t: np.ndarray, k: int):
+    """Contract the last k axes of t with every tuple of vectors.
 
-    t has shape (n1, nd, m2, ..., mk); the trailing slots are enumerated,
-    chunked on the first so no batch holds more than GRID_BUDGET cells.
+    Yields blocks of shape t.shape[:-k] + (N,), one cell per tuple, that
+    together cover every tuple once.  The enumeration is chunked on the
+    first of the k slots so no block holds more than GRID_BUDGET cells;
+    when even one vector of it is too many, recurse on each fixed vector.
     """
-    n1, nd, mids = t.shape[0], t.shape[1], t.shape[2:]
-    if not mids:
-        hist += np.bincount(batch_rank(ctx, t[None]), minlength=hist.size)
+    if k == 0:
+        yield t[..., None]
         return
-    rest = n1 * nd * _grid_size(ctx.q, mids[1:])
+    fixed, mids = t.shape[:-k], t.shape[-k:]
+    rest = math.prod(fixed) * _grid_size(ctx.q, mids[1:])
     n_vec = ctx.q ** mids[0]
     block = max(1, GRID_BUDGET // rest)
     for startpos in range(0, n_vec, block):
-        rows = _all_vectors(ctx, mids[0], startpos, min(startpos + block, n_vec))
-        v = _contract_grid(ctx, np.moveaxis(t, 2, -1), rows)  # (n1, nd, m3.., B)
+        rows = all_vectors(ctx, mids[0], startpos, min(startpos + block, n_vec))
+        v = field_dot(ctx, np.moveaxis(t, -k, -1), rows.T)  # (fixed.., m2.., B)
         if rest > GRID_BUDGET:  # block is 1: recurse on the one fixed vector
-            _rank_histogram(ctx, v[..., 0], hist)
+            yield from _grid_blocks(ctx, v[..., 0], k - 1)
             continue
-        for _ in mids[1:]:
-            v = np.moveaxis(v, 2, -1)
-            v = _contract_grid(ctx, v, _all_vectors(ctx, v.shape[-1]))
-        mats = np.moveaxis(v.reshape(n1, nd, -1), -1, 0)
-        hist += np.bincount(batch_rank(ctx, mats), minlength=hist.size)
+        for m in mids[1:]:
+            v = field_dot(ctx, np.moveaxis(v, len(fixed), -1), all_vectors(ctx, m).T)
+        yield v.reshape(fixed + (-1,))
 
 
-def _value_bincount(ctx: FieldCtx, t: np.ndarray, slot_dims: list[int]) -> np.ndarray:
-    """Exact histogram of form values over the full grid of the given slots."""
-    if not slot_dims:
-        return np.bincount(np.asarray(t, dtype=np.int64).reshape(-1), minlength=ctx.q)
-    grid = _grid_size(ctx.q, slot_dims)
-    if grid <= GRID_BUDGET:
-        v = t
-        for _ in slot_dims:
-            v = np.moveaxis(v, 0, -1)
-            v = _contract_grid(ctx, v, _all_vectors(ctx, v.shape[-1]))
-        return np.bincount(v.reshape(-1), minlength=ctx.q)
-    m1 = slot_dims[0]
-    rest = slot_dims[1:]
-    rest_grid = _grid_size(ctx.q, rest)
-    n_vec = ctx.q ** m1
-    counts = np.zeros(ctx.q, dtype=np.int64)
-    if rest_grid <= GRID_BUDGET:
-        block = max(1, GRID_BUDGET // rest_grid)
-        for startpos in range(0, n_vec, block):
-            rows = _all_vectors(ctx, m1, startpos, min(startpos + block, n_vec))
-            v = np.moveaxis(_contract_grid(ctx, np.moveaxis(t, 0, -1), rows), -1, 0)
-            for _ in rest:  # v: (B, remaining slots..., grids...)
-                v = np.moveaxis(v, 1, -1)
-                v = _contract_grid(ctx, v, _all_vectors(ctx, v.shape[-1]))
-            counts += np.bincount(v.reshape(-1), minlength=ctx.q)
-        return counts
-    block = 1024
-    for startpos in range(0, n_vec, block):
-        rows = _all_vectors(ctx, m1, startpos, min(startpos + block, n_vec))
-        tb = np.moveaxis(_contract_grid(ctx, np.moveaxis(t, 0, -1), rows), -1, 0)
-        for b in range(rows.shape[0]):
-            counts += _value_bincount(ctx, tb[b], rest)
-    return counts
+def character_sum(p: MultilinearForm, j: int = 1, cap: int = POINT_CAP) -> complex:
+    """Normalized sum of psi_j(P(x)) over the whole domain, exactly from the
+    histogram of the form's values."""
+    q = p.ctx.q
+    total = q ** sum(p.dims)
+    if total > cap:
+        raise CapExceeded(f"character sum needs {total} points, cap is {cap}", size=total)
+    counts = np.zeros(q, dtype=np.int64)
+    for values in _grid_blocks(p.ctx, p.coeffs, p.d):
+        counts += np.bincount(values.reshape(-1), minlength=q)
+    return complex(counts @ p.ctx.char_table(j)) / total
 
 
 @dataclass(frozen=True)
@@ -160,7 +110,8 @@ def zero_set_count(p: MultilinearForm, ext_e: int = 1, cap: int = POINT_CAP) -> 
     if p.d == 1:
         return ZeroSetCount(1 if not coeffs.any() else 0, ext_e, 0)
     hist = np.zeros(dims[-1] + 1, dtype=np.int64)
-    _rank_histogram(ext, np.moveaxis(coeffs, -1, 1), hist)
+    for block in _grid_blocks(ext, np.moveaxis(coeffs, -1, 1), p.d - 2):
+        hist += np.bincount(batch_rank(ext, np.moveaxis(block, -1, 0)), minlength=hist.size)
     count = sum(int(c) * big_q ** (dims[-1] - r) for r, c in enumerate(hist))
     return ZeroSetCount(count, ext_e, ambient)
 
@@ -181,19 +132,11 @@ def analytic_rank_charsum(p: MultilinearForm, j: int = 1, cap: int = POINT_CAP) 
     independent of the rank identity behind zero_set_count: it histograms
     the form's value at every point and ranks no matrix.
     """
-    dims = p.dims
-    q = p.ctx.q
-    total = q ** sum(dims)
-    if total > cap:
-        raise CapExceeded(f"character sum needs {total} points, cap is {cap}", size=total)
-    counts = _value_bincount(p.ctx, p.coeffs, list(dims))
-    table = p.ctx.char_table(j)
-    bias = complex(counts @ table) / total
-    mag = abs(bias)
+    mag = abs(character_sum(p, j, cap))
     if mag < 1e-12:
         # impossible for d >= 2: the bias equals |Z|/q^ambient >= q^(-ambient)
         raise RuntimeError("character sum magnitude below 1e-12; internal error")
-    return -math.log(mag) / math.log(q)
+    return -math.log(mag) / math.log(p.ctx.q)
 
 
 # -- slice rank ---------------------------------------------------------------
@@ -376,7 +319,7 @@ def subspace_rank_exact(mats, cap: int = SEARCH_CAP) -> int:
     if any(m.ctx != ctx or m.data.shape != shape for m in mats):
         raise InputError("all matrices must share field and shape")
     n1, n2 = shape
-    stack = np.stack([m.data for m in mats])
+    stack = np.stack([m.data for m in mats])  # (L, n1, n2)
     if not stack.any():
         return 0
     ranks = batch_rank(ctx, stack)
@@ -391,27 +334,17 @@ def subspace_rank_exact(mats, cap: int = SEARCH_CAP) -> int:
     if cost > cap:
         raise CapExceeded(f"subspace-rank search needs {cost} rank tests, cap is {cap}",
                           size=cost)
+    by_row = np.moveaxis(stack, 1, 0)  # (n1, L, n2); only row spans are ranked
     for r in range(lower, upper + 1):
         for c1, c2 in _compositions(r, (n1, n2)):
             for b1 in subspace_bases(ctx, n1, n1 - c1):
-                stacked = matmul_arr(ctx, b1, stack).reshape(-1, n2)
+                stacked = field_dot(ctx, b1, by_row).reshape(-1, n2)
                 if rref(Matrix(ctx, stacked)).rank <= c2:
                     return r
     raise RuntimeError("subspace rank search failed to terminate")  # unreachable
 
 
-def _combine(ctx: FieldCtx, coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Linear combinations: (C, k) coefficients x (k, m, n) basis -> (C, m, n)."""
-    if ctx.e == 1:
-        return np.tensordot(coeffs, basis, axes=(1, 0)) % ctx.p
-    out = np.zeros((coeffs.shape[0],) + basis.shape[1:], dtype=np.int64)
-    for j in range(basis.shape[0]):
-        out = ctx.add_arr(out, ctx.mul_arr(coeffs[:, j, None, None], basis[j][None]))
-    return out
-
-
 EXHAUSTIVE_SPAN_DIM = 4
-EXHAUSTIVE_SPAN_CAP = 10 ** 5
 
 
 def generic_max_rank(mats, ext_e: int = 1, samples: int = 0, seed: int = 0) -> int:
@@ -427,32 +360,23 @@ def generic_max_rank(mats, ext_e: int = 1, samples: int = 0, seed: int = 0) -> i
     probability of about (rank degeneracy degree) / q^deg; this is a
     heuristic, not a certificate.
     """
-    mats = list(mats)
-    if not mats:
-        raise InputError("need at least one matrix")
-    ctx = mats[0].ctx
-    shape = mats[0].data.shape
-    if any(m.ctx != ctx or m.data.shape != shape for m in mats):
-        raise InputError("all matrices must share field and shape")
     if ext_e < 1:
         raise InputError(f"extension degree must be >= 1, got {ext_e}")
-    flat = np.stack([m.data.reshape(-1) for m in mats])
-    red = rref(Matrix(ctx, flat))
-    dim_l = red.rank
+    ctx, _, basis = span_basis(mats)
+    dim_l = basis.shape[0]
     if dim_l == 0:
         return 0
-    basis = red.matrix.data[:dim_l].reshape(dim_l, *shape)
     best = int(batch_rank(ctx, basis).max())
     if dim_l <= EXHAUSTIVE_SPAN_DIM and ctx.q ** dim_l <= EXHAUSTIVE_SPAN_CAP:
-        combos = _all_vectors(ctx, dim_l)
-        best = max(best, int(batch_rank(ctx, _combine(ctx, combos, basis)).max()))
+        combos = all_vectors(ctx, dim_l)
+        best = max(best, int(batch_rank(ctx, field_dot(ctx, combos, basis)).max()))
     if samples > 0:
         for deg in range(1, ext_e + 1):
             ext, emb = ctx.extension(deg)
             ebasis = emb[basis]
             rng = np.random.default_rng(np.random.SeedSequence((seed, deg)))
             cf = rng.integers(0, ext.q, size=(samples, dim_l), dtype=np.int64)
-            best = max(best, int(batch_rank(ext, _combine(ext, cf, ebasis)).max()))
+            best = max(best, int(batch_rank(ext, field_dot(ext, cf, ebasis)).max()))
     return best
 
 

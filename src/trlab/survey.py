@@ -10,15 +10,13 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .checks import ALL_CHECKS, PROVEN_CHECKS, applicable_checks, check_suite
-from .errors import InputError, SurveyViolation
+from .errors import InputError, SurveyViolation, json_int
 from .forms import MultilinearForm, gen_random
-from .gfq import FieldCtx, field_from_descriptor
+from .gfq import FieldCtx, digits, field_from_descriptor
 from .ranks import POINT_CAP, SEARCH_CAP
 
 CSV_VERSION = "tensor-rank-lab v1"
@@ -68,40 +66,36 @@ class SurveyConfig:
         return names
 
 
-def _int_entry(obj: dict, key: str, default: int, where: str = "") -> int:
-    """obj[key] (or the default) as a plain int; bools and other types are refused."""
-    val = obj.get(key, default)
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise InputError(f"{where}{key} must be an integer, got {val!r}")
-    return val
-
-
 def config_from_obj(obj) -> SurveyConfig:
     if not isinstance(obj, dict) or not {"field", "dims"} <= set(obj):
         raise InputError("survey config needs at least field and dims")
     ctx = field_from_descriptor(obj["field"])
     dims = obj["dims"]
-    if not isinstance(dims, list) or any(not isinstance(n, int) for n in dims):
+    if not isinstance(dims, list):
         raise InputError("dims must be a list of integers")
+    dims = tuple(json_int(n, "dims entry") for n in dims)
     caps = obj.get("caps", {})
     if not isinstance(caps, dict):
         raise InputError("caps must be an object")
     checks = obj.get("checks")
     if checks is not None:
-        if not isinstance(checks, list):
+        if not isinstance(checks, list) or any(not isinstance(c, str) for c in checks):
             raise InputError("checks must be a list of names")
         checks = tuple(checks)
+    exhaustive = obj.get("exhaustive", False)
+    if not isinstance(exhaustive, bool):
+        raise InputError(f"exhaustive must be true or false, got {exhaustive!r}")
     return SurveyConfig(
         ctx=ctx,
-        dims=tuple(dims),
-        count=_int_entry(obj, "count", 0),
-        seed=_int_entry(obj, "seed", 0),
-        exhaustive=bool(obj.get("exhaustive", False)),
-        e_max=_int_entry(obj, "e_max", 3),
-        workers=_int_entry(obj, "workers", 1),
+        dims=dims,
+        count=json_int(obj.get("count", 0), "count"),
+        seed=json_int(obj.get("seed", 0), "seed"),
+        exhaustive=exhaustive,
+        e_max=json_int(obj.get("e_max", 3), "e_max"),
+        workers=json_int(obj.get("workers", 1), "workers"),
         checks=checks,
-        point_cap=_int_entry(caps, "points", POINT_CAP, "caps."),
-        search_cap=_int_entry(caps, "search", SEARCH_CAP, "caps."),
+        point_cap=json_int(caps.get("points", POINT_CAP), "caps.points"),
+        search_cap=json_int(caps.get("search", SEARCH_CAP), "caps.search"),
     )
 
 
@@ -111,12 +105,7 @@ def _instances(cfg: SurveyConfig):
         size = math.prod(cfg.dims)
         total = cfg.ctx.q ** size
         for enc in range(total):
-            digits = np.empty(size, dtype=np.int64)
-            t = enc
-            for j in range(size):
-                digits[j] = t % cfg.ctx.q
-                t //= cfg.ctx.q
-            yield enc, MultilinearForm(cfg.ctx, digits.reshape(cfg.dims))
+            yield enc, MultilinearForm(cfg.ctx, digits(enc, cfg.ctx.q, size).reshape(cfg.dims))
     else:
         for i in range(cfg.count):
             s = cfg.seed + i

@@ -3,8 +3,10 @@
 Everything here is deliberately naive: scalar field ops, itertools
 enumeration, no shared code with the vectorized library paths beyond the
 FieldCtx scalar arithmetic (which is itself law-tested exhaustively).
-The one exception is enumerated_zero_set_count, the library's former
-vectorized enumeration, kept as a faster oracle for mid-size counts.
+naive_dot is the scalar-loop reference for the library's one contraction
+kernel, linalg.field_dot.  The one exception is enumerated_zero_set_count,
+the library's former vectorized enumeration: it runs on field_dot and
+all_vectors and is kept as a faster oracle for mid-size counts.
 """
 
 import itertools
@@ -13,8 +15,7 @@ import numpy as np
 
 from trlab.forms import MultilinearForm
 from trlab.gfq import FieldCtx
-from trlab.linalg import Matrix, rref
-from trlab.ranks import _all_vectors, _contract_grid
+from trlab.linalg import Matrix, all_vectors, field_dot, rref
 
 
 def naive_eval(p: MultilinearForm, vectors) -> int:
@@ -27,6 +28,19 @@ def naive_eval(p: MultilinearForm, vectors) -> int:
             term = ctx.mul(term, int(vectors[slot][i]))
         acc = ctx.add(acc, term)
     return acc
+
+
+def naive_dot(ctx: FieldCtx, x, y) -> np.ndarray:
+    """Last axis of x against first axis of y, one scalar add/mul at a time."""
+    x, y = np.asarray(x), np.asarray(y)
+    out = np.zeros(x.shape[:-1] + y.shape[1:], dtype=np.int64)
+    for i in np.ndindex(*x.shape[:-1]):
+        for j in np.ndindex(*y.shape[1:]):
+            acc = 0
+            for k in range(x.shape[-1]):
+                acc = ctx.add(acc, ctx.mul(int(x[i + (k,)]), int(y[(k,) + j])))
+            out[i + j] = acc
+    return out
 
 
 def naive_zero_set_count(p: MultilinearForm, ext_e: int = 1) -> int:
@@ -52,7 +66,7 @@ def enumerated_zero_set_count(p: MultilinearForm, ext_e: int = 1) -> int:
     v = emb[p.coeffs]
     for n in p.dims[1:]:
         v = np.moveaxis(v, 1, -1)
-        v = _contract_grid(ext, v, _all_vectors(ext, n))
+        v = field_dot(ext, v, all_vectors(ext, n).T)
     return int((v == 0).all(axis=0).sum())
 
 

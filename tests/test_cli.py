@@ -110,6 +110,36 @@ def test_exit_code_non_positive_counts(tmp_path, args):
     assert not (tmp_path / "out.csv").exists()
 
 
+F2_DESC = {"p": 2, "e": 1}
+POLY = {"field": {"p": 3, "e": 1}, "n": 2, "terms": [{"exps": [1, 1], "coeff": 1}]}
+SURVEY = {"field": F2_DESC, "dims": [2, 2], "count": 1}
+PENCIL = {"field": F2_DESC, "rows": 1, "cols": 2, "A": [1, 0], "B": [0, 1]}
+
+
+@pytest.mark.parametrize("cmd,obj,opts", [
+    (["rank"], {"field": F2_DESC, "dims": [True, 2], "coeffs": [1, 0]}, []),
+    (["rank"], {"field": {"p": 2, "e": True}, "dims": [2], "coeffs": [1, 0]}, []),
+    (["survey"], {**SURVEY, "dims": [True, 2]}, ["-o", "{csv}"]),
+    (["survey"], {**SURVEY, "exhaustive": "no"}, ["-o", "{csv}"]),
+    (["survey"], {**SURVEY, "checks": [["x"]]}, ["-o", "{csv}"]),
+    (["gowers"], {**POLY, "terms": [{"exps": [1, 1], "coeff": "x"}]}, ["--d", "2"]),
+    (["gowers"], {**POLY, "terms": [{"exps": [True, 1], "coeff": 1}]}, ["--d", "2"]),
+    (["gowers"], {**POLY, "n": True, "terms": []}, ["--d", "2"]),
+    (["gowers"], POLY, ["--d", "-1"]),
+    (["gowers"], POLY, ["--d", "0"]),
+    (["pencil", "profile"], {**PENCIL, "rows": True}, []),
+], ids=["rank-dims-bool", "rank-field-e-bool", "survey-dims-bool",
+        "survey-exhaustive-str", "survey-checks-nested", "gowers-coeff-str",
+        "gowers-exps-bool", "gowers-n-bool", "gowers-d-negative", "gowers-d-zero",
+        "pencil-rows-bool"])
+def test_exit_code_malformed_input(tmp_path, cmd, obj, opts):
+    path = _write(tmp_path, "in.json", obj)
+    csv = str(tmp_path / "out.csv")
+    res = runner.invoke(main, cmd + [path] + [o.format(csv=csv) for o in opts])
+    assert res.exit_code == 2, res.output
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_pencil_block_profile_kr(tmp_path):
     blk = str(tmp_path / "b.json")
     res = runner.invoke(main, ["pencil", "block", "--kind", "Ln", "--n", "2",

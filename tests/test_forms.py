@@ -13,7 +13,7 @@ from trlab.forms import (MultilinearForm, PolynomialFn, contract, evaluate,
                          gen_rank_one, move_slot_first, polarize, poly_from_obj,
                          poly_to_obj, restrict, tensor_from_obj, tensor_to_obj)
 from trlab.gfq import field_new
-from trlab.linalg import Matrix, Subspace, matmul_arr, rank
+from trlab.linalg import Matrix, Subspace, field_dot, rank
 
 F2 = field_new(2, 1)
 F3 = field_new(3, 1)
@@ -80,7 +80,7 @@ def test_contract_flatten_consistency():
         p = gen_random(ctx, (2, 3, 2), 13)
         v = rng.integers(0, ctx.q, size=2, dtype=np.int64)
         c = contract(p, 0, v)
-        viaflat = matmul_arr(ctx, v[None, :], flatten(p, 0).data).reshape(3, 2)
+        viaflat = field_dot(ctx, v[None, :], flatten(p, 0).data).reshape(3, 2)
         assert np.array_equal(c.coeffs, viaflat)
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trlab.errors import CapExceeded, InputError
-from trlab.gfq import (FieldCtx, char_psi, descriptor, field_from_descriptor,
+from trlab.gfq import (FieldCtx, char_psi, descriptor, digits, field_from_descriptor,
                        field_from_order, field_new, trace)
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2), (2, 4), (5, 2)]
@@ -211,3 +211,26 @@ def test_descriptor_roundtrip():
         field_from_descriptor({"p": 3})
     with pytest.raises(InputError):
         field_from_descriptor({"p": 3.0, "e": 2})
+
+
+@settings(max_examples=100, deadline=None)
+@given(base=st.integers(2, 1000), n=st.integers(0, 6),
+       xs=st.lists(st.integers(0, 2 ** 40), max_size=8))
+def test_digits_round_trip_against_divmod(base, n, xs):
+    got = digits(np.array(xs, dtype=np.int64), base, n)
+    assert got.shape == (len(xs), n)
+    for row, x in zip(got.tolist(), xs):
+        want, t = [], x
+        for _ in range(n):
+            t, r = divmod(t, base)
+            want.append(r)
+        assert row == want
+        if x < base ** n:
+            assert sum(d * base ** j for j, d in enumerate(row)) == x
+
+
+def test_digits_of_a_scalar_and_a_grid():
+    assert digits(11, 3, 3).tolist() == [2, 0, 1]
+    grid = np.arange(12).reshape(3, 4)
+    assert digits(grid, 5, 2).shape == (3, 4, 2)
+    assert (digits(grid, 5, 2) @ [1, 5]).tolist() == grid.tolist()

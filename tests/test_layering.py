@@ -1,0 +1,56 @@
+"""Import layering of the library.
+
+Each module imports only from the layers below it, so every primitive has
+one owner (the field-contraction kernel lives in linalg, digits in gfq),
+and no module defers an import into a function body to dodge a cycle.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "trlab"
+LAYERS = {"errors": 0, "gfq": 1, "linalg": 2, "forms": 3, "ranks": 4, "pencils": 4,
+          "checks": 5, "survey": 6, "cli": 7, "__init__": 8}
+MODULES = sorted(p.stem for p in SRC.glob("*.py"))
+
+
+def _tree(name):
+    return ast.parse((SRC / f"{name}.py").read_text())
+
+
+def _package_imports(tree):
+    """(line, module) for every import of a trlab module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                yield node.lineno, node.module.split(".")[0]
+            else:  # from . import a, b
+                for alias in node.names:
+                    yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("trlab."):
+            yield node.lineno, node.module.split(".")[1]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("trlab."):
+                    yield node.lineno, alias.name.split(".")[1]
+
+
+def test_every_module_has_a_layer():
+    assert set(MODULES) == set(LAYERS)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_import_inside_a_function(name):
+    for fn in ast.walk(_tree(name)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            nested = [n.lineno for n in ast.walk(fn) if isinstance(n, (ast.Import, ast.ImportFrom))]
+            assert not nested, f"{name}.py:{nested[0]} imports inside {fn.name}()"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_imports_only_from_lower_layers(name):
+    for line, target in _package_imports(_tree(name)):
+        assert LAYERS[target] < LAYERS[name], \
+            f"{name}.py:{line} imports {target}, which is not below it"

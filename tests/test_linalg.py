@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import all_subspaces_bruteforce
+from oracles import all_subspaces_bruteforce, naive_dot
 from trlab.errors import CapExceeded, InputError
 from trlab.gfq import field_new
-from trlab.linalg import (Matrix, Subspace, batch_rank, gaussian_binomial,
+from trlab.linalg import (Matrix, Subspace, batch_rank, field_dot, gaussian_binomial,
                           image_basis, kernel_basis, left_kernel_basis,
-                          matmul_arr, rank, rref, subspace_bases, subspaces_iter)
+                          rank, rref, subspace_bases, subspaces_iter)
 
 F2 = field_new(2, 1)
 F3 = field_new(3, 1)
@@ -70,7 +72,7 @@ def test_kernel_vectors_annihilate():
                 assert not m.mat_vec(v).any()
             lk = left_kernel_basis(m)
             for u in lk.basis:
-                assert not matmul_arr(ctx, u[None, :], m.data).any()
+                assert not field_dot(ctx, u[None, :], m.data).any()
             assert image_basis(m).dim == rank(m)
 
 
@@ -131,7 +133,7 @@ def test_bilinear_restriction_consistency():
             m = rng.integers(0, ctx.q, size=(3, 3), dtype=np.int64)
             b1 = subspace_bases(ctx, 3, 2)[rng.integers(0, gaussian_binomial(3, 2, ctx.q))]
             b2 = subspace_bases(ctx, 3, 1)[rng.integers(0, gaussian_binomial(3, 1, ctx.q))]
-            prod = matmul_arr(ctx, matmul_arr(ctx, b1, m), b2.T)
+            prod = field_dot(ctx, field_dot(ctx, b1, m), b2.T)
             scalar_zero = True
             for u in b1:
                 for v in b2:
@@ -165,3 +167,34 @@ def test_matrix_validation():
         Matrix(F2, [1, 0])
     with pytest.raises(InputError):
         Matrix.identity(F2, 2).mul(Matrix.identity(F3, 2))
+
+
+DOT_FIELDS = [(2, 1), (5, 1), (2, 2), (3, 2), (2, 3)]
+
+
+@st.composite
+def _dot_cases(draw):
+    """(p, e, x shape, y shape, seed): x is 1-D to 3-D, y is 1-D to 3-D."""
+    p, e = draw(st.sampled_from(DOT_FIELDS))
+    k = draw(st.integers(0, 3))
+    lead = tuple(draw(st.lists(st.integers(0, 3), max_size=2)))
+    trail = tuple(draw(st.lists(st.integers(0, 3), max_size=2)))
+    return p, e, lead + (k,), (k,) + trail, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_dot_cases())
+@example(case=(3, 2, (2, 0), (0, 3), 1))         # zero-length contracted axis
+@example(case=(2, 3, (2, 3, 2), (2,), 2))        # 1-D y
+@example(case=(5, 1, (3,), (3,), 3))             # vector dot vector: a scalar
+@example(case=(2, 2, (0, 2), (2, 2, 3), 4))      # zero-size leading axis
+def test_field_dot_matches_scalar_loop(case):
+    p, e, xshape, yshape, seed = case
+    ctx = field_new(p, e)
+    rng = np.random.default_rng(seed)
+    # about half the entries zero, so whole zero slices of x occur too
+    x = rng.integers(0, ctx.q, size=xshape) * rng.integers(0, 2, size=xshape)
+    y = rng.integers(0, ctx.q, size=yshape)
+    got = field_dot(ctx, x, y)
+    assert got.shape == xshape[:-1] + yshape[1:]
+    assert got.tolist() == naive_dot(ctx, x, y).tolist()

@@ -192,6 +192,30 @@ def test_charsum_matches_naive_scalar_sum():
     assert analytic_rank_charsum(p, 2) == pytest.approx(naive_charsum_rank(p, 2), abs=1e-9)
 
 
+@pytest.mark.parametrize("ctx,dims,seed,levels", [
+    (F2, (2, 2, 2), 6, [3]),                        # one-vector chunks, no recursion
+    (F2, (1, 2, 3), 3, [3, 2, 2]),                  # recursion, then chunks of 2 vectors
+    (F3, (2, 2, 2), 4, [3] + [2] * 9),              # recursion, then one-vector chunks
+    (field_new(2, 2), (1, 2, 2), 5, [3] + [2] * 4),  # the same over GF(4)
+])
+def test_charsum_chunked_paths_match_naive(ctx, dims, seed, levels, monkeypatch):
+    # a 16-cell budget forces the chunked and the one-vector recursive paths
+    import trlab.ranks as R
+    p = gen_random(ctx, dims, seed)
+    want = naive_charsum_rank(p)
+    calls = []
+    grid_blocks = R._grid_blocks
+
+    def counted(ctx, t, k):
+        calls.append(k)
+        return grid_blocks(ctx, t, k)
+
+    monkeypatch.setattr(R, "GRID_BUDGET", 16)
+    monkeypatch.setattr(R, "_grid_blocks", counted)
+    assert analytic_rank_charsum(p) == pytest.approx(want, abs=1e-9)
+    assert calls == levels
+
+
 def test_charsum_bilinear_identity_value():
     p = gen_from_matrix(Matrix.identity(F2, 2))
     assert analytic_rank_charsum(p) == pytest.approx(2.0, abs=1e-9)
