@@ -291,7 +291,7 @@ def tensor_from_obj(obj) -> MultilinearForm:
     want = math.prod(dims)
     if not isinstance(coeffs, list) or len(coeffs) != want:
         raise InputError(f"coeffs must be a list of length {want}")
-    if any(not isinstance(c, int) or not (0 <= c < ctx.q) for c in coeffs):
+    if any(not 0 <= json_int(c, "coefficient") < ctx.q for c in coeffs):
         raise InputError(f"coefficients must be integers in [0, {ctx.q})")
     return MultilinearForm(ctx, np.array(coeffs, dtype=np.int64).reshape(dims))
 

@@ -114,9 +114,9 @@ def all_vectors(ctx: FieldCtx, n: int, start: int = 0, stop: int | None = None) 
     return digits(np.arange(start, stop), ctx.q, n)
 
 
-def span_basis(mats) -> tuple[FieldCtx, tuple[int, int], np.ndarray]:
-    """(field, shape, basis) of the span of equal-shape matrices; the basis is
-    the nonzero RREF rows of the flattened matrices, reshaped, (dim, rows, cols)."""
+def stack_matrices(mats) -> tuple[FieldCtx, np.ndarray]:
+    """(field, (L, rows, cols) stack) of a nonempty list of matrices that
+    share one field and one shape."""
     mats = list(mats)
     if not mats:
         raise InputError("need at least one matrix")
@@ -124,8 +124,15 @@ def span_basis(mats) -> tuple[FieldCtx, tuple[int, int], np.ndarray]:
     shape = mats[0].data.shape
     if any(m.ctx != ctx or m.data.shape != shape for m in mats):
         raise InputError("all matrices must share field and shape")
-    flat = np.stack([m.data.reshape(-1) for m in mats])
-    red = rref(Matrix(ctx, flat))
+    return ctx, np.stack([m.data for m in mats])
+
+
+def span_basis(mats) -> tuple[FieldCtx, tuple[int, int], np.ndarray]:
+    """(field, shape, basis) of the span of equal-shape matrices; the basis is
+    the nonzero RREF rows of the flattened matrices, reshaped, (dim, rows, cols)."""
+    ctx, stack = stack_matrices(mats)
+    shape = stack.shape[1:]
+    red = rref(Matrix(ctx, stack.reshape(len(stack), math.prod(shape))))
     return ctx, shape, red.matrix.data[:red.rank].reshape(red.rank, *shape)
 
 

@@ -190,15 +190,8 @@ class MaxRankReduction:
 def _verify_pair(field: FieldCtx, span_mats: np.ndarray, m: Matrix) -> tuple[bool, Subspace, Subspace]:
     w = kernel_basis(m)
     v = image_basis(m)
-    ok = True
-    for l in span_mats:
-        if w.dim == 0:
-            break
-        mapped = field_dot(field, w.basis, l.T)
-        if not v.contains_vectors(mapped):
-            ok = False
-            break
-    return ok, w, v
+    mapped = field_dot(field, w.basis, np.moveaxis(span_mats, 2, 0))  # l w, every l and w
+    return v.contains_vectors(mapped), w, v
 
 
 def max_rank_reduction(mats, ext_e: int = 4, samples: int = 50, seed: int = 0) -> MaxRankReduction:
@@ -274,7 +267,7 @@ def pencil_from_obj(obj) -> Pencil:
         flat = obj[key]
         if not isinstance(flat, list) or len(flat) != rows * cols:
             raise InputError(f"{key} must be a list of length rows*cols")
-        if any(not isinstance(x, int) or not (0 <= x < ctx.q) for x in flat):
+        if any(not 0 <= json_int(x, f"{key} entry") < ctx.q for x in flat):
             raise InputError(f"{key} entries must be integers in [0, {ctx.q})")
         out.append(Matrix(ctx, np.array(flat, dtype=np.int64).reshape(rows, cols)))
     return Pencil(out[0], out[1])

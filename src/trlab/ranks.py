@@ -9,7 +9,10 @@ Three quantities are computed exactly at desk scale:
 * the analytic rank, both from that count and independently from the
   normalized character sum over the whole domain;
 * the exact slice rank, by iterative deepening over codimension
-  compositions with exhaustive subspace enumeration.
+  compositions, each ranking every subspace tuple in batches.
+
+_grid_blocks is the one tuple enumerator: the zero-set count, the
+character sum and both rank searches run on it.
 
 Slot 0 is the distinguished slot for zero-set counting (re-root a form
 with forms.move_slot_first if another slot is wanted).
@@ -27,45 +30,55 @@ from .errors import CapExceeded, InputError
 from .forms import MultilinearForm, restrict_axis_arr
 from .gfq import FieldCtx
 from .linalg import (EXHAUSTIVE_SPAN_CAP, Matrix, Subspace, all_vectors, batch_rank,
-                     field_dot, gaussian_binomial, kernel_basis, rref, span_basis,
-                     subspace_bases)
+                     field_dot, gaussian_binomial, kernel_basis, left_kernel_basis, rref,
+                     span_basis, stack_matrices, subspace_bases)
 
 POINT_CAP = 2 ** 34       # refusal bound on enumerated points or ranked matrices
 GRID_BUDGET = 1 << 22     # max grid cells materialized per vectorized step
 SEARCH_CAP = 5 * 10 ** 6  # refusal bound on subspace-tuple rank tests
 
 
-def _grid_size(q: int, slot_dims) -> int:
-    out = 1
-    for m in slot_dims:
-        out *= q ** m
-    return out
+class _AllVectors:
+    """Every vector of GF(q)^n as a (q^n, 1, n) stack, built slice by slice."""
+
+    def __init__(self, ctx: FieldCtx, n: int):
+        self.ctx, self.n = ctx, n
+        self.shape = (ctx.q ** n, 1, n)
+
+    def __getitem__(self, sl: slice) -> np.ndarray:
+        start, stop, _ = sl.indices(self.shape[0])
+        return all_vectors(self.ctx, self.n, start, stop)[:, None, :]
 
 
-def _grid_blocks(ctx: FieldCtx, t: np.ndarray, k: int):
-    """Contract the last k axes of t with every tuple of vectors.
+def _grid_blocks(ctx: FieldCtx, t: np.ndarray, stacks):
+    """Restrict the last s = len(stacks) axes of t to every tuple of choices.
 
-    Yields blocks of shape t.shape[:-k] + (N,), one cell per tuple, that
-    together cover every tuple once.  The enumeration is chunked on the
-    first of the k slots so no block holds more than GRID_BUDGET cells;
-    when even one vector of it is too many, recurse on each fixed vector.
+    stacks[i] is an (N_i, k_i, n_i) stack of bases (a vector is a one-row
+    basis).  Yields blocks of shape (B,) + t.shape[:-s] + (k_1, ..., k_s),
+    one row per tuple, in lexicographic order of the choice indices with the
+    first stack slowest.  The enumeration is chunked on the first stack so no
+    block holds more than GRID_BUDGET cells; when even one of its choices is
+    too many, recurse on each single choice.
     """
-    if k == 0:
-        yield t[..., None]
+    s = len(stacks)
+    if s == 0:
+        yield t[None]
         return
-    fixed, mids = t.shape[:-k], t.shape[-k:]
-    rest = math.prod(fixed) * _grid_size(ctx.q, mids[1:])
-    n_vec = ctx.q ** mids[0]
-    block = max(1, GRID_BUDGET // rest)
-    for startpos in range(0, n_vec, block):
-        rows = all_vectors(ctx, mids[0], startpos, min(startpos + block, n_vec))
-        v = field_dot(ctx, np.moveaxis(t, -k, -1), rows.T)  # (fixed.., m2.., B)
-        if rest > GRID_BUDGET:  # block is 1: recurse on the one fixed vector
-            yield from _grid_blocks(ctx, v[..., 0], k - 1)
+    f = t.ndim - s
+    fixed, first, rest = t.shape[:f], stacks[0], stacks[1:]
+    cells = math.prod(fixed) * first.shape[1] * math.prod(b.shape[0] * b.shape[1] for b in rest)
+    block = max(1, GRID_BUDGET // cells) if cells else first.shape[0]  # k = 0: empty cells
+    for start in range(0, first.shape[0], block):
+        chosen = first[start:start + block]
+        v = field_dot(ctx, np.moveaxis(t, f, -1), np.moveaxis(chosen, 2, 0))
+        if cells > GRID_BUDGET:  # block is 1: recurse on the one fixed choice
+            yield from _grid_blocks(ctx, np.moveaxis(v[..., 0, :], -1, f), rest)
             continue
-        for m in mids[1:]:
-            v = field_dot(ctx, np.moveaxis(v, len(fixed), -1), all_vectors(ctx, m).T)
-        yield v.reshape(fixed + (-1,))
+        for b in rest:  # v: fixed + (n_i..n_s) + (B, k_1, N_2, k_2, ..)
+            v = field_dot(ctx, np.moveaxis(v, f, -1), np.moveaxis(b[:], 2, 0))
+        order = [f + 2 * i for i in range(s)] + list(range(f)) + [f + 2 * i + 1 for i in range(s)]
+        n_tuples = len(chosen) * math.prod(b.shape[0] for b in rest)
+        yield v.transpose(order).reshape((n_tuples,) + fixed + tuple(b.shape[1] for b in stacks))
 
 
 def character_sum(p: MultilinearForm, j: int = 1, cap: int = POINT_CAP) -> complex:
@@ -76,7 +89,7 @@ def character_sum(p: MultilinearForm, j: int = 1, cap: int = POINT_CAP) -> compl
     if total > cap:
         raise CapExceeded(f"character sum needs {total} points, cap is {cap}", size=total)
     counts = np.zeros(q, dtype=np.int64)
-    for values in _grid_blocks(p.ctx, p.coeffs, p.d):
+    for values in _grid_blocks(p.ctx, p.coeffs, [_AllVectors(p.ctx, n) for n in p.dims]):
         counts += np.bincount(values.reshape(-1), minlength=q)
     return complex(counts @ p.ctx.char_table(j)) / total
 
@@ -110,8 +123,10 @@ def zero_set_count(p: MultilinearForm, ext_e: int = 1, cap: int = POINT_CAP) -> 
     if p.d == 1:
         return ZeroSetCount(1 if not coeffs.any() else 0, ext_e, 0)
     hist = np.zeros(dims[-1] + 1, dtype=np.int64)
-    for block in _grid_blocks(ext, np.moveaxis(coeffs, -1, 1), p.d - 2):
-        hist += np.bincount(batch_rank(ext, np.moveaxis(block, -1, 0)), minlength=hist.size)
+    mids = [_AllVectors(ext, n) for n in dims[1:-1]]
+    for block in _grid_blocks(ext, np.moveaxis(coeffs, -1, 1), mids):
+        mats = block.reshape(len(block), dims[0], dims[-1])
+        hist += np.bincount(batch_rank(ext, mats), minlength=hist.size)
     count = sum(int(c) * big_q ** (dims[-1] - r) for r, c in enumerate(hist))
     return ZeroSetCount(count, ext_e, ambient)
 
@@ -189,49 +204,35 @@ def _search_cost(ctx: FieldCtx, dims, comp) -> int:
     return cost
 
 
+def _first_vanishing(ctx: FieldCtx, t: np.ndarray, stacks, c_last: int):
+    """First choice tuple, in lexicographic order, at which t restricted by
+    `stacks` (on its last len(stacks) axes) leaves a matrix of rank at most
+    c_last against its last axis.
+
+    Returns (index tuple, that n_last x cells matrix) or None.
+    """
+    n_last, offset = t.shape[-1], 0
+    for block in _grid_blocks(ctx, np.moveaxis(t, -1, 0), stacks):
+        mats = block.reshape(len(block), n_last, math.prod(block.shape[2:]))
+        hit = np.flatnonzero(batch_rank(ctx, mats) <= c_last)
+        if hit.size:
+            return np.unravel_index(offset + hit[0], [b.shape[0] for b in stacks]), mats[hit[0]]
+        offset += len(block)
+    return None
+
+
 def _search_composition(p: MultilinearForm, comp) -> Optional[SubspaceWitness]:
     """First witness with codim(W_i) = comp[i] for i < d-1 and the last slot
     resolved exactly: a witness completes iff the stacked restriction has
     rank at most comp[-1], in which case its kernel is the last subspace."""
     ctx = p.ctx
-    dims = p.dims
-    d = p.d
-    per_slot = []
-    for i in range(d - 1):
-        per_slot.append(None if comp[i] == 0
-                        else subspace_bases(ctx, dims[i], dims[i] - comp[i]))
-    chosen: list[Optional[np.ndarray]] = [None] * (d - 1)
-
-    def finish(t) -> Optional[SubspaceWitness]:
-        a = t.reshape(-1, dims[-1])
-        m = Matrix(ctx, a)
-        if rref(m).rank > comp[-1]:
-            return None
-        w_last = kernel_basis(m)
-        subs = []
-        for jdx in range(d - 1):
-            if chosen[jdx] is None:
-                subs.append(Subspace.full(ctx, dims[jdx]))
-            else:
-                subs.append(Subspace(ctx, dims[jdx], chosen[jdx]))
-        subs.append(w_last)
-        return _make_witness(p, subs)
-
-    def rec(i: int, t: np.ndarray) -> Optional[SubspaceWitness]:
-        if i == d - 1:
-            return finish(t)
-        if per_slot[i] is None:
-            chosen[i] = None
-            return rec(i + 1, t)
-        for b in per_slot[i]:
-            chosen[i] = b
-            got = rec(i + 1, restrict_axis_arr(ctx, t, i, b))
-            if got is not None:
-                return got
-        chosen[i] = None
+    stacks = [subspace_bases(ctx, n, n - c) for n, c in zip(p.dims[:-1], comp)]
+    hit = _first_vanishing(ctx, p.coeffs, stacks, comp[-1])
+    if hit is None:
         return None
-
-    return rec(0, p.coeffs)
+    idx, mat = hit
+    subs = [Subspace(ctx, n, b[i]) for n, b, i in zip(p.dims, stacks, idx)]
+    return _make_witness(p, subs + [left_kernel_basis(Matrix(ctx, mat))])
 
 
 def _greedy_upper(p: MultilinearForm) -> int:
@@ -311,21 +312,13 @@ def schmidt_rank(p: MultilinearForm, cap: int = SEARCH_CAP) -> SchmidtRank:
 def subspace_rank_exact(mats, cap: int = SEARCH_CAP) -> int:
     """Minimum codim(W1) + codim(W2) with every given matrix vanishing on
     W1 x W2 (d = 2 setting; the input spans the space of forms)."""
-    mats = list(mats)
-    if not mats:
-        raise InputError("need at least one matrix")
-    ctx = mats[0].ctx
-    shape = mats[0].data.shape
-    if any(m.ctx != ctx or m.data.shape != shape for m in mats):
-        raise InputError("all matrices must share field and shape")
-    n1, n2 = shape
-    stack = np.stack([m.data for m in mats])  # (L, n1, n2)
+    ctx, stack = stack_matrices(mats)  # (L, n1, n2)
+    _, n1, n2 = stack.shape
     if not stack.any():
         return 0
-    ranks = batch_rank(ctx, stack)
-    lower = int(ranks.max())  # vanishing forces c1 + c2 >= rank(l) for each l
-    rank_h = rref(Matrix(ctx, np.concatenate([m.data for m in mats], axis=1))).rank
-    rank_v = rref(Matrix(ctx, np.concatenate([m.data for m in mats], axis=0))).rank
+    lower = int(batch_rank(ctx, stack).max())  # vanishing forces c1 + c2 >= rank(l) for each l
+    rank_h = rref(Matrix(ctx, np.concatenate(stack, axis=1))).rank
+    rank_v = rref(Matrix(ctx, stack.reshape(-1, n2))).rank
     upper = min(rank_h, rank_v)
     cost = 0
     for r in range(lower, upper + 1):
@@ -334,13 +327,11 @@ def subspace_rank_exact(mats, cap: int = SEARCH_CAP) -> int:
     if cost > cap:
         raise CapExceeded(f"subspace-rank search needs {cost} rank tests, cap is {cap}",
                           size=cost)
-    by_row = np.moveaxis(stack, 1, 0)  # (n1, L, n2); only row spans are ranked
     for r in range(lower, upper + 1):
         for c1, c2 in _compositions(r, (n1, n2)):
-            for b1 in subspace_bases(ctx, n1, n1 - c1):
-                stacked = field_dot(ctx, b1, by_row).reshape(-1, n2)
-                if rref(Matrix(ctx, stacked)).rank <= c2:
-                    return r
+            # the member axis L stays whole; only the n1 axis is restricted
+            if _first_vanishing(ctx, stack, [subspace_bases(ctx, n1, n1 - c1)], c2) is not None:
+                return r
     raise RuntimeError("subspace rank search failed to terminate")  # unreachable
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .checks import ALL_CHECKS, PROVEN_CHECKS, applicable_checks, check_suite
-from .errors import InputError, SurveyViolation, json_int
+from .errors import InputError, LabError, SurveyViolation, json_int
 from .forms import MultilinearForm, gen_random
 from .gfq import FieldCtx, digits, field_from_descriptor
 from .ranks import POINT_CAP, SEARCH_CAP
@@ -145,19 +145,25 @@ def run_survey(cfg: SurveyConfig, csv_path, summary_path=None,
 
     A failed proven check aborts with the offending seed: those are
     theorem-level statements, so a failure is an implementation bug.
-    Heuristic failures only accumulate counts in the summary.
+    Heuristic failures only accumulate counts in the summary.  An instance
+    that raises (e.g. CapExceeded) ends the survey: the CSV keeps the rows
+    before it in index order, and the error is re-raised.
     """
     nworkers = workers if workers is not None else cfg.workers
     check_names = cfg.column_checks()
     header = list(BASE_COLUMNS) + [f"check:{n}" for n in check_names]
     pairs = list(_instances(cfg))
 
-    if nworkers <= 1:
-        rows = [_row(cfg, s, f, check_names) for s, f in pairs]
-    else:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            futs = [pool.submit(_row, cfg, s, f, check_names) for s, f in pairs]
-            rows = [f.result() for f in futs]  # index order, not completion order
+    rows, failed = [], None  # failed: the first instance error, in index order
+    with ThreadPoolExecutor(max_workers=nworkers) as pool:
+        futs = [pool.submit(_row, cfg, s, f, check_names) for s, f in pairs]
+        for fut in futs:  # index order, not completion order
+            try:
+                rows.append(fut.result())
+            except LabError as exc:
+                failed = exc
+                pool.shutdown(cancel_futures=True)
+                break
 
     ratios = []
     flagged: dict[str, int] = {}
@@ -190,6 +196,8 @@ def run_survey(cfg: SurveyConfig, csv_path, summary_path=None,
         raise SurveyViolation(
             f"proven check {name} failed on instance seed={seed_label}; "
             "this is an implementation bug", seed=seed_label, check=name)
+    if failed is not None:
+        raise failed
 
     stats = {"min": None, "mean": None, "max": None}
     if ratios:

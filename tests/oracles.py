@@ -4,18 +4,20 @@ Everything here is deliberately naive: scalar field ops, itertools
 enumeration, no shared code with the vectorized library paths beyond the
 FieldCtx scalar arithmetic (which is itself law-tested exhaustively).
 naive_dot is the scalar-loop reference for the library's one contraction
-kernel, linalg.field_dot.  The one exception is enumerated_zero_set_count,
-the library's former vectorized enumeration: it runs on field_dot and
-all_vectors and is kept as a faster oracle for mid-size counts.
+kernel, linalg.field_dot.  Two exceptions are former library routes kept
+as faster references: enumerated_zero_set_count, the vectorized zero-set
+enumeration (field_dot and all_vectors), for mid-size counts; and
+recursive_slice_rank, the per-tuple slice-rank search (canonical subspace
+order, one rref per tuple), which pins the first-witness rule.
 """
 
 import itertools
 
 import numpy as np
 
-from trlab.forms import MultilinearForm
+from trlab.forms import MultilinearForm, restrict_axis_arr
 from trlab.gfq import FieldCtx
-from trlab.linalg import Matrix, all_vectors, field_dot, rref
+from trlab.linalg import Matrix, all_vectors, field_dot, kernel_basis, rref, subspace_bases
 
 
 def naive_eval(p: MultilinearForm, vectors) -> int:
@@ -127,6 +129,52 @@ def naive_slice_rank(p: MultilinearForm) -> int:
                 best = codim
                 break
     return best
+
+
+def _recursive_search(p: MultilinearForm, comp):
+    """Witness bases with codim(W_i) = comp[i], recursing slot by slot over
+    canonical subspaces and ranking each restricted tensor against the last
+    slot; the first tuple whose rank is at most comp[-1] wins."""
+    ctx, dims, d = p.ctx, p.dims, p.d
+    per_slot = [None if comp[i] == 0 else subspace_bases(ctx, dims[i], dims[i] - comp[i])
+                for i in range(d - 1)]
+    chosen = [None] * (d - 1)
+
+    def finish(t):
+        m = Matrix(ctx, t.reshape(-1, dims[-1]))
+        if rref(m).rank > comp[-1]:
+            return None
+        bases = [np.eye(dims[j], dtype=np.int64) if chosen[j] is None else chosen[j]
+                 for j in range(d - 1)]
+        return bases + [kernel_basis(m).basis]
+
+    def rec(i, t):
+        if i == d - 1:
+            return finish(t)
+        if per_slot[i] is None:
+            chosen[i] = None
+            return rec(i + 1, t)
+        for b in per_slot[i]:
+            chosen[i] = b
+            got = rec(i + 1, restrict_axis_arr(ctx, t, i, b))
+            if got is not None:
+                return got
+        chosen[i] = None
+        return None
+
+    return rec(0, p.coeffs)
+
+
+def recursive_slice_rank(p: MultilinearForm):
+    """(value, witness bases) by iterative deepening from 0 over codimension
+    compositions in lexicographic order, each searched per tuple."""
+    slots = [range(n + 1) for n in p.dims]
+    for r in range(sum(p.dims) + 1):
+        for comp in sorted(c for c in itertools.product(*slots) if sum(c) == r):
+            got = _recursive_search(p, comp)
+            if got is not None:
+                return r, got
+    raise AssertionError("a full-codimension tuple always vanishes")
 
 
 def naive_subspace_rank(mats, ctx: FieldCtx) -> int:

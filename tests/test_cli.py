@@ -128,10 +128,12 @@ PENCIL = {"field": F2_DESC, "rows": 1, "cols": 2, "A": [1, 0], "B": [0, 1]}
     (["gowers"], POLY, ["--d", "-1"]),
     (["gowers"], POLY, ["--d", "0"]),
     (["pencil", "profile"], {**PENCIL, "rows": True}, []),
+    (["rank"], {"field": F2_DESC, "dims": [2, 2], "coeffs": [True, 0, 0, False]}, []),
+    (["pencil", "kr"], {**PENCIL, "rows": 2, "A": [True, 0, 0, True], "B": [1, 0, 0, 1]}, []),
 ], ids=["rank-dims-bool", "rank-field-e-bool", "survey-dims-bool",
         "survey-exhaustive-str", "survey-checks-nested", "gowers-coeff-str",
         "gowers-exps-bool", "gowers-n-bool", "gowers-d-negative", "gowers-d-zero",
-        "pencil-rows-bool"])
+        "pencil-rows-bool", "rank-coeffs-bool", "pencil-entries-bool"])
 def test_exit_code_malformed_input(tmp_path, cmd, obj, opts):
     path = _write(tmp_path, "in.json", obj)
     csv = str(tmp_path / "out.csv")

@@ -1,5 +1,6 @@
 """Zero-set counts, analytic ranks, slice/subspace ranks, codim estimator."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,13 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (enumerated_zero_set_count, naive_charsum_rank, naive_slice_rank,
-                     naive_subspace_rank, naive_zero_set_count, random_invertible)
+from oracles import (enumerated_zero_set_count, naive_charsum_rank, naive_dot,
+                     naive_slice_rank, naive_subspace_rank, naive_zero_set_count,
+                     random_invertible, recursive_slice_rank)
 from trlab.errors import CapExceeded, InputError
 from trlab.forms import (MultilinearForm, gen_diagonal, gen_from_matrix,
                          gen_random, gen_rank_one)
 from trlab.gfq import field_new
-from trlab.linalg import Matrix, rank
+from trlab.linalg import Matrix, all_vectors, rank, subspace_bases
 from trlab.ranks import (analytic_rank_charsum, analytic_rank_count,
                          codim_estimate, generic_max_rank, schmidt_rank,
                          slice_rank_exact, subspace_rank_exact, zero_set_count)
@@ -206,14 +208,40 @@ def test_charsum_chunked_paths_match_naive(ctx, dims, seed, levels, monkeypatch)
     calls = []
     grid_blocks = R._grid_blocks
 
-    def counted(ctx, t, k):
-        calls.append(k)
-        return grid_blocks(ctx, t, k)
+    def counted(ctx, t, stacks):
+        calls.append(len(stacks))
+        return grid_blocks(ctx, t, stacks)
 
     monkeypatch.setattr(R, "GRID_BUDGET", 16)
     monkeypatch.setattr(R, "_grid_blocks", counted)
     assert analytic_rank_charsum(p) == pytest.approx(want, abs=1e-9)
     assert calls == levels
+
+
+@pytest.mark.parametrize("budget", [1 << 22, 16, 1])
+def test_grid_blocks_follow_product_order(budget, monkeypatch):
+    # a lazy vector stack, 2-dim subspaces and the identity after a free
+    # leading axis; the budgets take one block, chunks, and the recursion
+    import trlab.ranks as R
+    ctx = field_new(3, 1)
+    t = gen_random(ctx, (2, 2, 3, 2), 19).coeffs
+    stacks = [R._AllVectors(ctx, 2), subspace_bases(ctx, 3, 2), subspace_bases(ctx, 2, 2)]
+    want = []
+    for pick in itertools.product(*(range(b.shape[0]) for b in stacks)):
+        r = t
+        for axis, (b, i) in enumerate(zip(stacks, pick), start=1):
+            r = np.moveaxis(naive_dot(ctx, b[i:i + 1][0], np.moveaxis(r, axis, 0)), 0, axis)
+        want.append(r)
+    monkeypatch.setattr(R, "GRID_BUDGET", budget)
+    got = np.concatenate(list(R._grid_blocks(ctx, t, stacks)))
+    assert got.shape == (9 * 13, 2, 1, 2, 2)
+    assert np.array_equal(got, np.stack(want))
+    # a zero-dimensional choice leaves no cells: one block holds every tuple
+    for pair in ([subspace_bases(ctx, 3, 0), subspace_bases(ctx, 2, 1)],
+                 [subspace_bases(ctx, 3, 1), subspace_bases(ctx, 2, 0)]):
+        blocks = list(R._grid_blocks(ctx, t, pair))
+        n_tuples = pair[0].shape[0] * pair[1].shape[0]
+        assert [b.shape for b in blocks] == [(n_tuples, 2, 2, pair[0].shape[1], pair[1].shape[1])]
 
 
 def test_charsum_bilinear_identity_value():
@@ -316,6 +344,60 @@ def test_slice_rank_greedy_fallback_flags_inexact():
     assert capped.value >= exact.value  # still a valid upper bound
 
 
+SLICE_KINDS = ("dense", "one slice", "two slices", "sparse", "zero")
+
+
+def _slice_form(ctx, dims, kind, seed) -> MultilinearForm:
+    """A form of the given kind; a sum of k slices v (x)_s T has slice rank
+    at most k, so its witnesses need not sit on the last slot alone."""
+    rng = np.random.default_rng(seed)
+    if kind in ("dense", "sparse", "zero"):
+        keep = {"dense": 1.0, "sparse": 0.2, "zero": 0.0}[kind]
+        return MultilinearForm(ctx, rng.integers(0, ctx.q, size=dims) * (rng.random(dims) < keep))
+    coeffs = np.zeros(dims, dtype=np.int64)
+    for _ in range(SLICE_KINDS.index(kind)):
+        slot = int(rng.integers(len(dims)))
+        v = rng.integers(0, ctx.q, size=dims[slot]).reshape((-1,) + (1,) * (len(dims) - 1))
+        t = rng.integers(0, ctx.q, size=dims[:slot] + dims[slot + 1:])
+        coeffs = ctx.add_arr(coeffs, np.moveaxis(ctx.mul_arr(v, t[None]), 0, slot))
+    return MultilinearForm(ctx, coeffs)
+
+
+@st.composite
+def _slice_cases(draw):
+    """(p, e, dims, kind, seed): d = 2..4, slot dimensions 1..3."""
+    p, e = draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2)]))
+    d = draw(st.integers(2, 4))
+    top = 3 if d < 4 or p ** e == 2 else 2  # keeps the per-tuple reference quick
+    dims = tuple(draw(st.integers(1, top)) for _ in range(d))
+    return p, e, dims, draw(st.sampled_from(SLICE_KINDS)), draw(st.integers(0, 2 ** 31))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_slice_cases())
+@example(case=(2, 1, (3, 3, 3), "zero", 0))          # every slot full
+@example(case=(3, 1, (1, 3, 2), "dense", 3))         # codimension = dimension on slot 0
+@example(case=(3, 1, (3, 3, 3), "two slices", 5))
+@example(case=(2, 2, (3, 3, 3), "two slices", 2))    # GF(4)
+@example(case=(2, 1, (3, 3, 3, 3), "two slices", 4))  # d = 4
+@example(case=(5, 1, (3, 3, 3), "dense", 2))         # GF(5), 31 subspaces per slot
+def test_slice_rank_matches_recursive_search(case):
+    # same value, exact flag and witness bases as the per-tuple search, also
+    # when a 16-cell budget sends the search through chunks and recursion
+    import trlab.ranks as R
+    p_char, e, dims, kind, seed = case
+    form = _slice_form(field_new(p_char, e), dims, kind, seed)
+    value, bases = recursive_slice_rank(form)
+    for budget in (R.GRID_BUDGET, 16):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(R, "GRID_BUDGET", budget)
+            s = slice_rank_exact(form)
+        assert (s.value, s.exact) == (value, True)
+        got = [w.basis for w in s.witness.subspaces]
+        assert [b.shape for b in got] == [b.shape for b in bases]
+        assert all(np.array_equal(g, b) for g, b in zip(got, bases))
+
+
 def test_schmidt_rank_flags():
     assert schmidt_rank(MultilinearForm(F2, np.zeros((2, 2), dtype=np.int64))) == (0, True)
     assert schmidt_rank(gen_diagonal(F2, 2, 3)) == (2, True)
@@ -346,6 +428,24 @@ def test_subspace_rank_matches_naive():
     for _ in range(6):
         mats = [Matrix(F2, rng.integers(0, 2, size=(2, 3), dtype=np.int64)) for _ in range(2)]
         assert subspace_rank_exact(mats) == naive_subspace_rank(mats, F2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p_e=st.sampled_from([(2, 1), (3, 1), (2, 2)]), n_mats=st.integers(1, 4),
+       shape=st.tuples(st.integers(1, 3), st.integers(1, 3)), seed=st.integers(0, 2 ** 31))
+def test_subspace_rank_matches_naive_property(p_e, n_mats, shape, seed):
+    import trlab.ranks as R
+    ctx = field_new(*p_e)
+    if ctx.q > 2:  # the brute-force subspace lists grow as q^(n^2)
+        shape = (min(shape[0], 2), min(shape[1], 2))
+    rng = np.random.default_rng(seed)
+    mats = [Matrix(ctx, rng.integers(0, ctx.q, size=shape) * (rng.random(shape) < 0.6))
+            for _ in range(n_mats)]
+    want = naive_subspace_rank(mats, ctx)
+    assert subspace_rank_exact(mats) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(R, "GRID_BUDGET", 16)
+        assert subspace_rank_exact(mats) == want
 
 
 def test_subspace_rank_pair_of_units():

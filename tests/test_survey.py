@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 from trlab.checks import CheckOutcome
 from trlab.cli import main
-from trlab.errors import InputError, SurveyViolation
+from trlab.errors import CapExceeded, InputError, SurveyViolation
 from trlab.gfq import field_new
 from trlab.survey import SurveyConfig, config_from_obj, run_survey
 import trlab.survey as survey_mod
@@ -97,6 +97,29 @@ def test_survey_abort_on_proven_failure(tmp_path, monkeypatch):
     assert exc.value.seed == 11  # the first instance seed
     assert exc.value.check == "analytic_le_rank"
     assert len(out.read_text().splitlines()) == 3  # header x2 + offending row
+
+
+CAPPED = {"field": {"p": 3, "e": 1}, "dims": [2, 2, 2], "count": 4, "caps": {"search": 20}}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_survey_keeps_finished_rows_when_an_instance_fails(tmp_path, workers):
+    # seeds 0 and 1 are searched within 20 rank tests; seed 2 is not
+    out = tmp_path / "c.csv"
+    with pytest.raises(CapExceeded):
+        run_survey(config_from_obj(CAPPED), out, workers=workers)
+    prefix = tmp_path / "p.csv"
+    run_survey(config_from_obj({**CAPPED, "count": 2}), prefix)
+    assert out.read_bytes() == prefix.read_bytes()
+    assert len(out.read_text().splitlines()) == 4  # header x2 + seeds 0 and 1
+
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(CAPPED))
+    cli_out = tmp_path / "cli.csv"
+    res = CliRunner().invoke(main, ["survey", str(cfg), "-o", str(cli_out),
+                                    "--workers", str(workers)])
+    assert res.exit_code == 3
+    assert cli_out.read_bytes() == prefix.read_bytes()
 
 
 def test_config_parsing_and_validation():
