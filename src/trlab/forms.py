@@ -221,20 +221,9 @@ class PolynomialFn:
             term = np.full(npts, coeff, dtype=np.int64)
             for j, ej in enumerate(exps):
                 if ej:
-                    term = term * _pow_mod_arr(coords[:, j], ej, p) % p
+                    term = term * self.ctx.pow_arr(coords[:, j], ej) % p
             out = (out + term) % p
         return out
-
-
-def _pow_mod_arr(base: np.ndarray, k: int, p: int) -> np.ndarray:
-    r = np.ones_like(base)
-    b = base % p
-    while k > 0:
-        if k & 1:
-            r = r * b % p
-        b = b * b % p
-        k >>= 1
-    return r
 
 
 def polarize(q: PolynomialFn, d: int) -> MultilinearForm:

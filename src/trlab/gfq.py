@@ -31,8 +31,8 @@ from .errors import CapExceeded, InputError, json_int
 
 SIZE_CAP = 1 << 20       # largest field order the lab will construct
 FULL_TABLE_MAX = 1 << 10  # dense q x q multiplication table up to this order
-# log/exp, inverse, trace and digit tables up to this order; log/exp only
-# serve to build the inverse and multiplication tables
+# inverse table up to this order; it and the multiplication table are read
+# off a log/exp table that is dropped after construction
 LOG_TABLE_MAX = 1 << 16
 
 
@@ -191,15 +191,15 @@ def _least_irreducible(p: int, e: int) -> tuple[int, ...]:
 class FieldCtx:
     """Arithmetic context for GF(p^e).
 
-    Scalar methods (add, mul, inv, ...) take and return canonical integer
-    encodings.  The *_arr variants operate elementwise on numpy int64
-    arrays and broadcast like ufuncs; they back all enumeration kernels.
+    The *_arr methods operate elementwise on numpy int64 arrays of canonical
+    integer encodings and broadcast like ufuncs; they are the only arithmetic
+    and back all enumeration kernels.  The scalar methods (add, mul, inv, ...)
+    are the same methods applied to one element.
     """
 
     __slots__ = (
         "p", "e", "q", "modulus",
-        "_dig", "_pw", "_exp", "_log", "_inv", "_trace", "_red",
-        "_mul_t", "_char_cache", "_ext_cache",
+        "_pw", "_xpow", "_tr", "_inv", "_mul_t", "_char_cache", "_ext_cache",
     )
 
     def __init__(self, p: int, e: int):
@@ -220,182 +220,86 @@ class FieldCtx:
         self._char_cache: dict[int, np.ndarray] = {}
         self._ext_cache: dict[int, tuple["FieldCtx", np.ndarray]] = {}
 
-        if e > 1:
-            # digit rows of x^(e+k) mod modulus, for reducing convolution overflow
-            red = np.zeros((e - 1, e), dtype=np.int64)
-            row = [(-c) % p for c in self.modulus[:e]]
-            red[0] = row
-            for k in range(1, e - 1):
-                carry = row[-1]
-                row = [0] + row[:-1]
-                if carry:
-                    row = [(row[j] + carry * red[0, j]) % p for j in range(e)]
-                red[k] = row
-            self._red = red
-        else:
-            self._red = None
+        # digits of x^k mod modulus for k < 2e - 1: reduces a product's convolution
+        xpow, xk = [], [1]
+        for _ in range(2 * e - 1):
+            xpow.append(xk + [0] * (e - len(xk)))
+            xk = _poly_mulmod(xk, [0, 1], self.modulus, p)
+        self._xpow = np.array(xpow, dtype=np.int64)
 
-        self._dig = digits(np.arange(q), p, e) if e > 1 and q <= LOG_TABLE_MAX else None
-
+        # mul_arr and inv_arr read the tables, so they exist before being built
+        self._mul_t = self._inv = None
         if q <= LOG_TABLE_MAX:
-            self._exp, self._log = self._build_logexp()
+            exp = self._exp_table()
+            log = np.zeros(q, dtype=np.int64)
+            log[exp] = np.arange(q - 1)
             inv = np.zeros(q, dtype=np.int64)
-            if q > 1:
-                nz = np.arange(1, q)
-                inv[nz] = self._exp[(q - 1 - self._log[nz]) % (q - 1)]
+            inv[exp] = exp[-np.arange(q - 1) % (q - 1)]
+            if q <= FULL_TABLE_MAX:
+                mul = np.zeros((q, q), dtype=np.int64)
+                mul[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
+                self._mul_t = mul
             self._inv = inv
-            self._trace = self._build_trace_table()
-        else:
-            self._exp = self._log = self._inv = self._trace = None
 
-        if q <= FULL_TABLE_MAX:
-            lg = self._log
-            mul = np.zeros((q, q), dtype=np.int64)
-            if q > 1:
-                mul[1:, 1:] = self._exp[(lg[1:, None] + lg[None, 1:]) % (q - 1)]
-            self._mul_t = mul
-        else:
-            self._mul_t = None
+        # trace(alpha^j) is the sum of the Frobenius conjugates alpha^(j p^i)
+        # and lies in the prime subfield, whose encoding is the digit itself
+        tr, conj = np.zeros(e, dtype=np.int64), self._pw
+        for _ in range(e):
+            tr, conj = self.add_arr(tr, conj), self.pow_arr(conj, p)
+        assert (tr < p).all()
+        self._tr = tr
 
-    # -- construction helpers -------------------------------------------
-
-    def _mul_scalar_raw(self, a: int, b: int) -> int:
-        p, e = self.p, self.e
-        if e == 1:
-            return a * b % p
-        da = [(a // int(pp)) % p for pp in self._pw]
-        db = [(b // int(pp)) % p for pp in self._pw]
-        conv = [0] * (2 * e - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    conv[i + j] = (conv[i + j] + x * y) % p
-        out = conv[:e]
-        for k in range(e, 2 * e - 1):
-            c = conv[k]
-            if c:
-                row = self._red[k - e]
-                out = [(out[j] + c * int(row[j])) % p for j in range(e)]
-        return int(sum(out[j] * int(self._pw[j]) for j in range(e)))
-
-    def _pow_scalar_raw(self, a: int, k: int) -> int:
-        r, b = 1, a
-        while k > 0:
-            if k & 1:
-                r = self._mul_scalar_raw(r, b)
-            b = self._mul_scalar_raw(b, b)
-            k >>= 1
-        return r
-
-    def _build_logexp(self):
+    def _exp_table(self) -> np.ndarray:
+        """g^0, ..., g^(q-2) for the least primitive element g, by doubling."""
         q = self.q
-        if q == 2:
-            return np.array([1], dtype=np.int64), np.array([0, 0], dtype=np.int64)
-        fac = _prime_factors(q - 1)
-        g = None
-        for cand in range(2, q):
-            if all(self._pow_scalar_raw(cand, (q - 1) // ell) != 1 for ell in fac):
-                g = cand
-                break
-        assert g is not None
-        exp = np.empty(q - 1, dtype=np.int64)
-        block = min(q - 1, 256)
-        x = 1
-        for i in range(block):
-            exp[i] = x
-            x = self._mul_scalar_raw(x, g)
-        if block < q - 1:
-            # multiplication by the fixed constant g^block is GF(p)-linear
-            # on digit vectors; advance whole blocks at once
-            gb = self._pow_scalar_raw(g, block)
-            p, e = self.p, self.e
-            m = np.empty((e, e), dtype=np.int64)
-            for j in range(e):
-                m[:, j] = digits(self._mul_scalar_raw(gb, int(self._pw[j])), p, e)
-            pos = block
-            while pos < q - 1:
-                n = min(block, q - 1 - pos)
-                dig = digits(exp[pos - block: pos - block + n], p, e)
-                exp[pos: pos + n] = ((dig @ m.T) % p) @ self._pw
-                pos += n
-        log = np.zeros(q, dtype=np.int64)
-        log[exp] = np.arange(q - 1)
-        return exp, log
+        exp, step = np.ones(1, dtype=np.int64), self._primitive()
+        while exp.size < q - 1:
+            exp = np.concatenate([exp, self.mul_arr(exp[:q - 1 - exp.size], step)])
+            step = self.mul(step, step)
+        return exp
 
-    def _trace_row(self) -> np.ndarray:
-        """trace(alpha^j) for the polynomial basis, values in [0, p)."""
-        p, e = self.p, self.e
-        out = np.empty(e, dtype=np.int64)
-        for j in range(e):
-            b = int(self._pw[j])
-            acc = 0
-            x = b
-            for _ in range(e):
-                acc = self._add_scalar_raw(acc, x)
-                x = self._pow_scalar_raw(x, p)
-            # the trace lands in the prime subfield, whose encoding is the digit itself
-            assert acc < p
-            out[j] = acc
-        return out
+    def _primitive(self) -> int:
+        """Least generator of GF(q)*: no power (q-1)/l is 1, for l | q-1 prime."""
+        q = self.q
+        for lo in range(1, q, 64):
+            cand = np.arange(lo, min(lo + 64, q), dtype=np.int64)
+            ok = np.ones(cand.size, dtype=bool)
+            for ell in _prime_factors(q - 1):
+                ok &= self.pow_arr(cand, (q - 1) // ell) != 1
+            if ok.any():
+                return int(cand[ok][0])
+        raise RuntimeError("no primitive element found")  # unreachable
 
-    def _add_scalar_raw(self, a: int, b: int) -> int:
-        p, e = self.p, self.e
-        if e == 1:
-            return (a + b) % p
-        if p == 2:
-            return a ^ b
-        out = 0
-        for j in range(e):
-            pj = int(self._pw[j])
-            out += (((a // pj) + (b // pj)) % p) * pj
-        return out
-
-    def _build_trace_table(self) -> np.ndarray:
-        if self.e == 1:
-            return np.arange(self.q, dtype=np.int64)
-        row = self._trace_row()
-        return (self._dig @ row) % self.p
-
-    # -- scalar API -------------------------------------------------------
+    # -- scalar API: the array API on one element --------------------------
 
     def add(self, a: int, b: int) -> int:
-        return self._add_scalar_raw(int(a), int(b))
+        return int(self.add_arr(a, b))
 
     def neg(self, a: int) -> int:
-        p, e = self.p, self.e
-        if e == 1:
-            return (-a) % p
-        if p == 2:
-            return int(a)
-        out = 0
-        for j in range(e):
-            pj = int(self._pw[j])
-            out += ((-(a // pj)) % p) * pj
-        return out
+        return int(self.neg_arr(a))
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return int(self.sub_arr(a, b))
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul_t is not None:
-            return int(self._mul_t[a, b])
-        return self._mul_scalar_raw(int(a), int(b))
+        return int(self.mul_arr(a, b))
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self._inv is not None:
-            return int(self._inv[a])
-        return self._pow_scalar_raw(int(a), self.q - 2)
+        return int(self.inv_arr(a))
 
     def pow(self, a: int, k: int) -> int:
         if k < 0:
-            return self.pow(self.inv(a), -k)
-        return self._pow_scalar_raw(int(a), k)
+            a, k = self.inv(a), -k
+        return int(self.pow_arr(a, k))
+
+    def trace(self, a: int) -> int:
+        return int(self.trace_arr(a))
 
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Polynomial-basis digit vector of an element, least significant first."""
-        return tuple(int((a // int(pj)) % self.p) for pj in self._pw)
+        return tuple(digits(a, self.p, self.e).tolist())
 
     def from_coeffs(self, cs) -> int:
         cs = list(cs)
@@ -405,15 +309,6 @@ class FieldCtx:
 
     def elements(self) -> range:
         return range(self.q)
-
-    def trace(self, a: int) -> int:
-        if self._trace is not None:
-            return int(self._trace[a])
-        acc, x = 0, int(a)
-        for _ in range(self.e):
-            acc = self._add_scalar_raw(acc, x)
-            x = self._pow_scalar_raw(x, self.p)
-        return acc
 
     # -- vectorized API (numpy int64 arrays, broadcasting) ----------------
 
@@ -447,37 +342,34 @@ class FieldCtx:
         if self._mul_t is not None:
             return self._mul_t[x, y]
         x, y = np.broadcast_arrays(x, y)
-        dx, dy = digits(x, self.p, self.e), digits(y, self.p, self.e)
-        e = self.e
+        p, e = self.p, self.e
+        dx, dy = digits(x, p, e), digits(y, p, e)
         conv = np.zeros(x.shape + (2 * e - 1,), dtype=np.int64)
         for i in range(e):
-            for j in range(e):
-                conv[..., i + j] += dx[..., i] * dy[..., j]
-        conv %= self.p
-        out = conv[..., :e] + (conv[..., e:] @ self._red)
-        return (out % self.p) @ self._pw
+            conv[..., i:i + e] += dx[..., i:i + 1] * dy
+        return ((conv % p) @ self._xpow % p) @ self._pw
 
     def inv_arr(self, x):
         x = np.asarray(x, dtype=np.int64)
         if self._inv is not None:
             return self._inv[x]
-        # Fermat: x^(q-2), square-and-multiply on arrays
-        r = np.ones_like(x)
-        b = x.copy()
-        k = self.q - 2
-        while k > 0:
-            if k & 1:
-                r = self.mul_arr(r, b)
-            b = self.mul_arr(b, b)
-            k >>= 1
+        return self.pow_arr(x, self.q - 2)  # Fermat
+
+    def pow_arr(self, x, k: int):
+        """x^k elementwise for an integer k >= 0, by square-and-multiply over
+        the bits of k, most significant first."""
+        x = np.asarray(x, dtype=np.int64)
+        if k == 0:
+            return np.ones_like(x)
+        r = x.copy()
+        for bit in bin(k)[3:]:
+            r = self.mul_arr(r, r)
+            if bit == "1":
+                r = self.mul_arr(r, x)
         return r
 
     def trace_arr(self, x):
-        x = np.asarray(x, dtype=np.int64)
-        if self._trace is not None:
-            return self._trace[x]
-        row = self._trace_row()
-        return (digits(x, self.p, self.e) @ row) % self.p
+        return (digits(x, self.p, self.e) @ self._tr) % self.p
 
     # -- characters --------------------------------------------------------
 

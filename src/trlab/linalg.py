@@ -247,10 +247,8 @@ def kernel_basis(m: Matrix) -> Subspace:
     if not free:
         return Subspace.zero(ctx, n)
     rows = np.zeros((len(free), n), dtype=np.int64)
-    for i, fc in enumerate(free):
-        rows[i, fc] = 1
-        for j, pc in enumerate(pivots):
-            rows[i, pc] = ctx.neg(int(red.data[j, fc]))
+    rows[np.arange(len(free)), free] = 1
+    rows[:, list(pivots)] = ctx.neg_arr(red.data[:rk, free].T)
     return Subspace.from_rows(ctx, rows)
 
 
@@ -352,12 +350,11 @@ def batch_rank(ctx: FieldCtx, mats: np.ndarray) -> np.ndarray:
         piv = work[b, r0, col]
         pivrow = ctx.mul_arr(work[b, r0, :], ctx.inv_arr(piv)[:, None])
         work[b, r0, :] = pivrow
-        fac = work[b][:, :, col]
-        mask = (ridx[None, :] > r0[:, None]) & (fac != 0)
-        if mask.any():
-            delta = ctx.mul_arr(fac[:, :, None], pivrow[:, None, :])
-            upd = ctx.sub_arr(work[b], delta)
-            work[b] = np.where(mask[:, :, None], upd, work[b])
+        sub = work[b]
+        # rows at or above the pivot get factor 0, which leaves them unchanged
+        fac = np.where(ridx[None, :] > r0[:, None], sub[:, :, col], 0)
+        if fac.any():
+            work[b] = ctx.sub_arr(sub, ctx.mul_arr(fac[:, :, None], pivrow[:, None, :]))
         row[b] += 1
         if (row == m).all():
             break

@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: scalar field ops, itertools
 enumeration, no shared code with the vectorized library paths beyond the
-FieldCtx scalar arithmetic (which is itself law-tested exhaustively).
+FieldCtx scalar arithmetic.  That arithmetic is the array arithmetic on one
+element, so it is itself checked against digitwise_add, schoolbook_mul
+and frobenius_trace, which work on digit lists and the modulus alone.
 naive_dot is the scalar-loop reference for the library's one contraction
 kernel, linalg.field_dot.  Two exceptions are former library routes kept
 as faster references: enumerated_zero_set_count, the vectorized zero-set
@@ -18,6 +20,46 @@ import numpy as np
 from trlab.forms import MultilinearForm, restrict_axis_arr
 from trlab.gfq import FieldCtx
 from trlab.linalg import Matrix, all_vectors, field_dot, kernel_basis, rref, subspace_bases
+
+
+def _digit_list(ctx: FieldCtx, a: int) -> list[int]:
+    return [(int(a) // ctx.p ** j) % ctx.p for j in range(ctx.e)]
+
+
+def _encode(ctx: FieldCtx, ds) -> int:
+    return sum((d % ctx.p) * ctx.p ** j for j, d in enumerate(ds))
+
+
+def schoolbook_mul(ctx: FieldCtx, a: int, b: int) -> int:
+    """Long multiplication of the digit lists of a and b, then reduction by
+    ctx.modulus one leading coefficient at a time; no table is read."""
+    p, e, mod = ctx.p, ctx.e, ctx.modulus
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(_digit_list(ctx, a)):
+        for j, y in enumerate(_digit_list(ctx, b)):
+            prod[i + j] += x * y
+    for k in range(2 * e - 2, e - 1, -1):
+        c = prod[k] % p
+        for j in range(e + 1):
+            prod[k - e + j] -= c * mod[j]
+    return _encode(ctx, prod[:e])
+
+
+def digitwise_add(ctx: FieldCtx, a: int, b: int) -> int:
+    """Sum of the digit lists of a and b, digit by digit mod p."""
+    return _encode(ctx, [x + y for x, y in zip(_digit_list(ctx, a), _digit_list(ctx, b))])
+
+
+def frobenius_trace(ctx: FieldCtx, a: int) -> int:
+    """a + a^p + ... + a^(p^(e-1)), each power by p schoolbook products."""
+    acc, x = 0, int(a)
+    for _ in range(ctx.e):
+        acc = digitwise_add(ctx, acc, x)
+        y = 1
+        for _ in range(ctx.p):
+            y = schoolbook_mul(ctx, y, x)
+        x = y
+    return acc
 
 
 def naive_eval(p: MultilinearForm, vectors) -> int:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import digitwise_add, frobenius_trace, schoolbook_mul
 from trlab.errors import CapExceeded, InputError
 from trlab.gfq import (FieldCtx, char_psi, descriptor, digits, field_from_descriptor,
                        field_from_order, field_new, trace)
@@ -81,24 +82,29 @@ def test_field_laws_exhaustive_or_sampled(p, e):
 def test_vector_ops_match_scalar_ops(p, e):
     ctx = field_new(p, e)
     rng = np.random.default_rng(7)
-    x = rng.integers(0, ctx.q, size=50, dtype=np.int64)
-    y = rng.integers(0, ctx.q, size=50, dtype=np.int64)
-    assert all(int(v) == ctx.add(int(a), int(b)) for v, a, b in zip(ctx.add_arr(x, y), x, y))
-    assert all(int(v) == ctx.mul(int(a), int(b)) for v, a, b in zip(ctx.mul_arr(x, y), x, y))
-    nz = x[x != 0]
-    assert all(int(v) == ctx.inv(int(a)) for v, a in zip(ctx.inv_arr(nz), nz))
-    assert all(int(v) == ctx.trace(int(a)) for v, a in zip(ctx.trace_arr(x), x))
+    x = rng.integers(0, ctx.q, size=50, dtype=np.int64).tolist()
+    y = rng.integers(0, ctx.q, size=50, dtype=np.int64).tolist()
+    nz = [a for a in x if a]
+    assert ctx.add_arr(x, y).tolist() == [digitwise_add(ctx, a, b) for a, b in zip(x, y)]
+    assert ctx.mul_arr(x, y).tolist() == [schoolbook_mul(ctx, a, b) for a, b in zip(x, y)]
+    assert all(schoolbook_mul(ctx, a, v) == 1 for a, v in zip(nz, ctx.inv_arr(nz).tolist()))
+    assert ctx.trace_arr(x).tolist() == [frobenius_trace(ctx, a) for a in x]
+    # the scalar methods are the array methods on one element
+    assert [ctx.add(a, b) for a, b in zip(x, y)] == ctx.add_arr(x, y).tolist()
+    assert [ctx.mul(a, b) for a, b in zip(x, y)] == ctx.mul_arr(x, y).tolist()
+    assert [ctx.inv(a) for a in nz] == ctx.inv_arr(nz).tolist()
+    assert [ctx.trace(a) for a in x] == ctx.trace_arr(x).tolist()
 
 
 def test_vector_mul_on_untabled_field():
-    # 2^11 = 2048 exceeds the full-table threshold; exercises the log/exp path
+    # 2^11 = 2048 exceeds the full-table threshold; runs the convolution path
     ctx = field_new(2, 11)
     rng = np.random.default_rng(1)
     x = rng.integers(0, ctx.q, size=40, dtype=np.int64)
     y = rng.integers(0, ctx.q, size=40, dtype=np.int64)
     got = ctx.mul_arr(x, y)
     for v, a, b in zip(got, x, y):
-        assert int(v) == ctx._mul_scalar_raw(int(a), int(b))
+        assert int(v) == schoolbook_mul(ctx, int(a), int(b))
 
 
 def test_vector_mul_on_digit_path_field():
@@ -109,8 +115,44 @@ def test_vector_mul_on_digit_path_field():
     y = rng.integers(0, ctx.q, size=20, dtype=np.int64)
     got = ctx.mul_arr(x, y)
     for v, a, b in zip(got, x, y):
-        assert int(v) == ctx._mul_scalar_raw(int(a), int(b))
+        assert int(v) == schoolbook_mul(ctx, int(a), int(b))
     assert all(int(v) == ctx.add(int(a), int(b)) for v, a, b in zip(ctx.add_arr(x, y), x, y))
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (3, 4)])
+def test_mul_and_inv_tables_exhaustive(p, e):
+    ctx = field_new(p, e)
+    x, y = np.meshgrid(np.arange(ctx.q), np.arange(ctx.q), indexing="ij")
+    want = [[schoolbook_mul(ctx, a, b) for b in range(ctx.q)] for a in range(ctx.q)]
+    assert ctx.mul_arr(x, y).tolist() == want
+    inv = ctx.inv_arr(np.arange(ctx.q)).tolist()
+    assert inv[0] == 0
+    assert all(want[a][inv[a]] == 1 for a in range(1, ctx.q))
+
+
+@pytest.mark.parametrize("p,e", [(2, 10), (2, 11), (3, 7)])
+def test_mul_and_inv_sampled_on_large_fields(p, e):
+    # GF(2^10): the last full table; GF(2^11), GF(3^7): convolution and
+    # the inverse table
+    ctx = field_new(p, e)
+    rng = np.random.default_rng(p * 100 + e)
+    x = rng.integers(0, ctx.q, size=300).tolist()
+    y = rng.integers(1, ctx.q, size=300).tolist()
+    assert ctx.mul_arr(x, y).tolist() == [schoolbook_mul(ctx, a, b) for a, b in zip(x, y)]
+    assert all(schoolbook_mul(ctx, b, v) == 1 for b, v in zip(y, ctx.inv_arr(y).tolist()))
+
+
+@pytest.mark.parametrize("p,e", [(3, 11), (2, 17)])
+def test_inv_and_trace_above_log_table_max(p, e):
+    # no tables: inverses by Fermat through pow_arr, traces from the basis row
+    ctx = field_new(p, e)
+    rng = np.random.default_rng(p + e)
+    x = rng.integers(1, ctx.q, size=12).tolist()
+    assert all(schoolbook_mul(ctx, a, v) == 1 for a, v in zip(x, ctx.inv_arr(x).tolist()))
+    assert ctx.trace_arr(x).tolist() == [frobenius_trace(ctx, a) for a in x]
+    assert ctx.pow(x[0], -1) == ctx.inv(x[0])
+    with pytest.raises(ZeroDivisionError):
+        ctx.inv(0)
 
 
 @given(st.sampled_from(SMALL_FIELDS), st.data())
