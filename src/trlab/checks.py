@@ -18,7 +18,7 @@ import numpy as np
 from .errors import CapExceeded, InputError
 from .forms import MultilinearForm, PolynomialFn, polarize
 from .gfq import digits
-from .ranks import (POINT_CAP, SEARCH_CAP, SchmidtRank, analytic_rank_count,
+from .ranks import (POINT_CAP, SEARCH_CAP, SchmidtRank, analytic_rank_from_count,
                     character_sum, codim_estimate, slice_rank_exact, zero_set_count)
 
 TOLERANCE = 1e-9
@@ -122,29 +122,30 @@ def check_suite(p: MultilinearForm, e_max: int = 3,
     if d < 2:
         raise InputError("the check suite needs at least two slots")
     z = zero_set_count(p, 1, cap=point_cap)
-    a = analytic_rank_count(p, cap=point_cap)
+    a = analytic_rank_from_count(z, q)
     sr = slice_rank_exact(p, cap=search_cap)
     if not sr.exact:
         raise CapExceeded("exact slice rank is infeasible at this size; "
                           "the suite does not check against bounds", size=None)
     sch = SchmidtRank(sr.value, d <= 3)
     r = sch.value
+    # applicable_checks decides which outcomes are emitted, in its order
+    names, constants = applicable_checks(d, q), suite_constants(d, q)
     outcomes = [
         _le("analytic_le_rank", a, r,
             "analytic rank is at most the exact slice rank"
             + ("" if d <= 3 else " (an upper bound for the degree-d rank)")),
     ]
-    if d == 3 and q > 3:
-        chain = 3.0 / (1.0 - math.log(3) / math.log(q))
+    if "rank_le_chain_analytic" in names:  # its constant exists only then
         outcomes.append(_le(
-            "rank_le_chain_analytic", r, chain * a,
+            "rank_le_chain_analytic", r, constants["rank_ratio_chain"] * a,
             "trilinear rank at most 3/(1-log_q 3) times analytic rank; "
             "constant chains the closure codim bound (2) with the closure "
             "rank inflation (3/2) and the point-count gap"))
-        outcomes.append(_le(
-            "rank_le_triple_analytic", r, 3.0 * a,
-            "flat variant: trilinear rank at most 3 times analytic rank "
-            "(recorded independently of the chained constant)"))
+    outcomes.append(_le(
+        "rank_le_triple_analytic", r, 3.0 * a,
+        "flat variant: trilinear rank at most 3 times analytic rank "
+        "(recorded independently of the chained constant)"))
     # the estimator is a heuristic; cap its enumeration depth independently
     heur_cap = min(point_cap, HEURISTIC_POINT_CAP)
     e_eff = 0
@@ -165,16 +166,15 @@ def check_suite(p: MultilinearForm, e_max: int = 3,
             "zero_count_le_rough_bound", float(z.count), rough,
             "point count at most d^g * q^(ambient-g); heuristic through "
             "the codim estimate", heuristic=True))
-        if d == 3:
-            outcomes.append(_le(
-                "rank_le_triple_codim", r, 3.0 * g,
-                "trilinear rank at most 3 * estimated codim (closure codim "
-                "bound times closure rank inflation); heuristic", heuristic=True))
+        outcomes.append(_le(
+            "rank_le_triple_codim", r, 3.0 * g,
+            "trilinear rank at most 3 * estimated codim (closure codim "
+            "bound times closure rank inflation); heuristic", heuristic=True))
     g_hat = None if est is None else est.g_hat
     g_interval = (0, z.ambient) if est is None else est.interval
     return RankReport(q, d, dims, a, sr.value, sch, z.count, z.ambient,
-                      g_hat, g_interval, suite_constants(d, q),
-                      tuple(outcomes), heur_skipped)
+                      g_hat, g_interval, constants,
+                      tuple(o for o in outcomes if o.name in names), heur_skipped)
 
 
 # -- uniformity-norm identity ---------------------------------------------------

@@ -40,10 +40,6 @@ def _lab_errors(fn):
     return wrapper
 
 
-def _emit(obj):
-    click.echo(json.dumps(obj, indent=2, sort_keys=True))
-
-
 def _parse_dims(text):
     try:
         dims = tuple(int(t) for t in text.replace("x", ",").split(",") if t)
@@ -54,7 +50,7 @@ def _parse_dims(text):
     return dims
 
 
-def _write_or_print(obj, out):
+def _emit(obj, out=None):
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if out is None:
         click.echo(text, nl=False)
@@ -85,7 +81,7 @@ def rank_cmd(tensor, slot, ext_e):
         "dims": list(p.dims),
         "slot": slot,
         "zero_count": z1.count,
-        "analytic_rank_count": ranks.analytic_rank_count(rooted),
+        "analytic_rank_count": ranks.analytic_rank_from_count(z1, p.ctx.q),
     }
     try:
         out["analytic_rank_charsum"] = ranks.analytic_rank_charsum(rooted)
@@ -131,7 +127,7 @@ def gen_cmd(kind, dims, order, seed, out):
                 v[0] = 1  # keep the factor (and the product form) nonzero
             covs.append(v)
         p = forms.gen_rank_one(ctx, covs)
-    _write_or_print(forms.tensor_to_obj(p), out)
+    _emit(forms.tensor_to_obj(p), out)
 
 
 @main.group("pencil")
@@ -149,7 +145,7 @@ def pencil_group():
 def pencil_block(kind, size, order, out):
     """Write a Kronecker block pencil as JSON."""
     ctx = field_from_order(order)
-    _write_or_print(pencils.pencil_to_obj(pencils.kronecker_block(ctx, kind, size)), out)
+    _emit(pencils.pencil_to_obj(pencils.kronecker_block(ctx, kind, size)), out)
 
 
 @pencil_group.command("profile")
@@ -258,7 +254,7 @@ def survey_cmd(config, out, summary, workers):
     """Run a seeded ensemble survey from a JSON config."""
     cfg = survey.config_from_obj(_load_json(config))
     result = survey.run_survey(cfg, out, summary_path=summary, workers=workers)
-    click.echo(json.dumps(result, indent=2, sort_keys=True))
+    _emit(result)
 
 
 if __name__ == "__main__":

@@ -12,8 +12,7 @@ import numpy as np
 from .errors import CapExceeded, InputError, json_int
 from .gfq import FieldCtx, descriptor, field_from_descriptor
 from .linalg import (EXHAUSTIVE_SPAN_CAP, Matrix, Subspace, all_vectors, batch_rank,
-                     field_dot, image_basis, kernel_basis, left_kernel_basis, rref,
-                     span_basis)
+                     field_dot, image_basis, kernel_basis, left_kernel_basis, span_basis)
 
 PROFILE_CAP = 10 ** 6  # bound on projective points per rank profile
 
@@ -123,13 +122,13 @@ class KernelImageReport:
 
 def kernel_image_check(pencil: Pencil, ext_e: int = 4) -> KernelImageReport:
     ctx = pencil.ctx
-    rank_a = rref(pencil.a).rank
+    ker = kernel_basis(pencil.a)
+    rank_a = pencil.a.cols - ker.dim  # rank-nullity
     base_ranks = batch_rank(ctx, _affine_members(ctx, pencil.a.data, pencil.b.data))
     hyp_base = bool((base_ranks <= rank_a).all())
     ext, emb = ctx.extension(ext_e)
     ext_ranks = batch_rank(ext, _affine_members(ext, emb[pencil.a.data], emb[pencil.b.data]))
     hyp_ext = bool((ext_ranks <= rank_a).all())
-    ker = kernel_basis(pencil.a)
     if ker.dim == 0:
         concl = True
     else:
@@ -154,12 +153,12 @@ def radical_restriction_check(b: Matrix, c: Matrix, ext_e: int = 4) -> RadicalRe
     if b.ctx != c.ctx or b.data.shape != c.data.shape:
         raise InputError("the two matrices must share field and shape")
     ctx = b.ctx
-    rank_b = rref(b).rank
+    s_v = kernel_basis(b)
+    rank_b = b.cols - s_v.dim  # rank-nullity
     ext, emb = ctx.extension(ext_e)
     ranks = batch_rank(ext, _affine_members(ext, emb[b.data], emb[c.data]))
     hyp = bool((ranks <= rank_b).all())
     s_u = left_kernel_basis(b)
-    s_v = kernel_basis(b)
     restr = field_dot(ctx, field_dot(ctx, s_u.basis, c.data), s_v.basis.T)
     concl = not restr.any()
     return RadicalRestrictionReport(hyp, bool(concl), (not hyp) or bool(concl),

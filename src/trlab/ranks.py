@@ -11,8 +11,10 @@ Three quantities are computed exactly at desk scale:
 * the exact slice rank, by iterative deepening over codimension
   compositions, each ranking every subspace tuple in batches.
 
+_deepen is the one deepening search: the subspace rank of a span is the
+slice search of its (L, n1, n2) stack with the member slot never cut.
 _grid_blocks is the one tuple enumerator: the zero-set count, the
-character sum and both rank searches run on it.
+character sum and the search run on it.
 
 Slot 0 is the distinguished slot for zero-set counting (re-root a form
 with forms.move_slot_first if another slot is wanted).
@@ -131,12 +133,16 @@ def zero_set_count(p: MultilinearForm, ext_e: int = 1, cap: int = POINT_CAP) -> 
     return ZeroSetCount(count, ext_e, ambient)
 
 
-def analytic_rank_count(p: MultilinearForm, cap: int = POINT_CAP) -> float:
-    """a(P) = ambient - log_q |Z(GF(q))|; zero exactly when Z is everything."""
-    z = zero_set_count(p, 1, cap=cap)
+def analytic_rank_from_count(z: ZeroSetCount, q: int) -> float:
+    """a = ambient - log_q |Z(GF(q))| from a count over GF(q); zero iff Z is everything."""
     if z.count == 0:  # only reachable for d = 1 and P nonzero
         return math.inf
-    return z.ambient - math.log(z.count) / math.log(p.ctx.q)
+    return z.ambient - math.log(z.count) / math.log(q)
+
+
+def analytic_rank_count(p: MultilinearForm, cap: int = POINT_CAP) -> float:
+    """a(P) = ambient - log_q |Z(GF(q))|."""
+    return analytic_rank_from_count(zero_set_count(p, 1, cap=cap), p.ctx.q)
 
 
 def analytic_rank_charsum(p: MultilinearForm, j: int = 1, cap: int = POINT_CAP) -> float:
@@ -197,13 +203,6 @@ def _compositions(total: int, limits) -> list[tuple[int, ...]]:
     return out
 
 
-def _search_cost(ctx: FieldCtx, dims, comp) -> int:
-    cost = 1
-    for i in range(len(dims) - 1):
-        cost *= gaussian_binomial(dims[i], dims[i] - comp[i], ctx.q)
-    return cost
-
-
 def _first_vanishing(ctx: FieldCtx, t: np.ndarray, stacks, c_last: int):
     """First choice tuple, in lexicographic order, at which t restricted by
     `stacks` (on its last len(stacks) axes) leaves a matrix of rank at most
@@ -219,20 +218,6 @@ def _first_vanishing(ctx: FieldCtx, t: np.ndarray, stacks, c_last: int):
             return np.unravel_index(offset + hit[0], [b.shape[0] for b in stacks]), mats[hit[0]]
         offset += len(block)
     return None
-
-
-def _search_composition(p: MultilinearForm, comp) -> Optional[SubspaceWitness]:
-    """First witness with codim(W_i) = comp[i] for i < d-1 and the last slot
-    resolved exactly: a witness completes iff the stacked restriction has
-    rank at most comp[-1], in which case its kernel is the last subspace."""
-    ctx = p.ctx
-    stacks = [subspace_bases(ctx, n, n - c) for n, c in zip(p.dims[:-1], comp)]
-    hit = _first_vanishing(ctx, p.coeffs, stacks, comp[-1])
-    if hit is None:
-        return None
-    idx, mat = hit
-    subs = [Subspace(ctx, n, b[i]) for n, b, i in zip(p.dims, stacks, idx)]
-    return _make_witness(p, subs + [left_kernel_basis(Matrix(ctx, mat))])
 
 
 def _greedy_upper(p: MultilinearForm) -> int:
@@ -261,41 +246,51 @@ def _greedy_upper(p: MultilinearForm) -> int:
     return total
 
 
+def _deepen(ctx: FieldCtx, t: np.ndarray, limits, lower: int, cap: int):
+    """First hit of the least level r = sum(c), c_i <= limits[i], at which
+    subspaces of codimension c_i on the slots before the last leave t a
+    matrix of rank <= c_last against its last slot, as (r, stacks, index
+    tuple, matrix).  Levels run from min(lower, upper) to upper, the least
+    flattening rank of a slot that may be cut (it always hits); compositions
+    in lex order, subspaces in canonical order.  If the projected rank tests,
+    sum over all compositions of prod_{i<d-1} [n_i, n_i - c_i]_q, exceed the
+    cap, returns that number and enumerates nothing."""
+    dims = t.shape
+    upper = min((rref(Matrix(ctx, np.moveaxis(t, i, 0).reshape(n, -1))).rank
+                 for i, n in enumerate(dims) if limits[i]), default=0)
+    levels = [(r, _compositions(r, limits)) for r in range(min(lower, upper), upper + 1)]
+    cost = sum(math.prod(gaussian_binomial(n, n - c, ctx.q) for n, c in zip(dims[:-1], comp))
+               for _, comps in levels for comp in comps)
+    if cost > cap:
+        return cost
+    for r, comps in levels:
+        for comp in comps:
+            stacks = [subspace_bases(ctx, n, n - c) for n, c in zip(dims[:-1], comp)]
+            hit = _first_vanishing(ctx, t, stacks, comp[-1])
+            if hit is not None:
+                return (r, stacks) + hit
+    raise RuntimeError("rank search failed to terminate")  # unreachable
+
+
 def slice_rank_exact(p: MultilinearForm, cap: int = SEARCH_CAP) -> SliceRank:
     """Least sum of slot codimensions over vanishing subspace tuples.
 
-    Iterative deepening: levels r ascending, codimension compositions in
-    lexicographic order, subspaces in canonical order; the first witness
-    wins.  For d = 2 the deepening starts at the matrix rank, which every
-    vanishing pair must reach (rank subadditivity).  If the projected
-    search size exceeds the cap, a greedy upper bound is returned flagged
-    non-exact.
+    _deepen with every slot cut up to its dimension; the first witness wins,
+    its last subspace the left kernel of the matrix that hit.  For d = 2 the
+    deepening starts at the matrix rank, which every vanishing pair must
+    reach (rank subadditivity).  Past the cap, a greedy upper bound is
+    returned flagged non-exact.
     """
     ctx = p.ctx
-    dims = p.dims
-    d = p.d
-    if p.is_zero():
-        subs = tuple(Subspace.full(ctx, n) for n in dims)
-        return SliceRank(0, _make_witness(p, subs), True)
-    flat_ranks = [rref(Matrix(ctx, np.moveaxis(p.coeffs, ax, 0).reshape(dims[ax], -1))).rank
-                  for ax in range(d)]
-    upper = min(flat_ranks)
-    lower = flat_ranks[0] if d == 2 else 1
-    total_cost = 0
-    levels = []
-    for r in range(lower, upper + 1):
-        comps = _compositions(r, dims)
-        levels.append((r, comps))
-        total_cost += sum(_search_cost(ctx, dims, c) for c in comps)
-    if total_cost > cap:
+    lower = rref(Matrix(ctx, p.coeffs)).rank if p.d == 2 else 1
+    hit = _deepen(ctx, p.coeffs, p.dims, lower, cap)
+    if isinstance(hit, int):
         return SliceRank(_greedy_upper(p), None, False)
-    for r, comps in levels:
-        for comp in comps:
-            w = _search_composition(p, comp)
-            if w is not None:
-                assert w.codim_sum == r
-                return SliceRank(r, w, True)
-    raise RuntimeError("slice rank search failed to terminate")  # unreachable
+    r, stacks, idx, mat = hit
+    subs = [Subspace(ctx, n, b[i]) for n, b, i in zip(p.dims, stacks, idx)]
+    w = _make_witness(p, subs + [left_kernel_basis(Matrix(ctx, mat))])
+    assert w.codim_sum == r
+    return SliceRank(r, w, True)
 
 
 class SchmidtRank(NamedTuple):
@@ -311,28 +306,16 @@ def schmidt_rank(p: MultilinearForm, cap: int = SEARCH_CAP) -> SchmidtRank:
 
 def subspace_rank_exact(mats, cap: int = SEARCH_CAP) -> int:
     """Minimum codim(W1) + codim(W2) with every given matrix vanishing on
-    W1 x W2 (d = 2 setting; the input spans the space of forms)."""
+    W1 x W2 (d = 2; the input spans the space of forms), by the slice search
+    of the (L, n1, n2) stack with its member slot never cut."""
     ctx, stack = stack_matrices(mats)  # (L, n1, n2)
     _, n1, n2 = stack.shape
-    if not stack.any():
-        return 0
     lower = int(batch_rank(ctx, stack).max())  # vanishing forces c1 + c2 >= rank(l) for each l
-    rank_h = rref(Matrix(ctx, np.concatenate(stack, axis=1))).rank
-    rank_v = rref(Matrix(ctx, stack.reshape(-1, n2))).rank
-    upper = min(rank_h, rank_v)
-    cost = 0
-    for r in range(lower, upper + 1):
-        for c1, _ in _compositions(r, (n1, n2)):
-            cost += gaussian_binomial(n1, n1 - c1, ctx.q)
-    if cost > cap:
-        raise CapExceeded(f"subspace-rank search needs {cost} rank tests, cap is {cap}",
-                          size=cost)
-    for r in range(lower, upper + 1):
-        for c1, c2 in _compositions(r, (n1, n2)):
-            # the member axis L stays whole; only the n1 axis is restricted
-            if _first_vanishing(ctx, stack, [subspace_bases(ctx, n1, n1 - c1)], c2) is not None:
-                return r
-    raise RuntimeError("subspace rank search failed to terminate")  # unreachable
+    hit = _deepen(ctx, stack, (0, n1, n2), lower, cap)
+    if isinstance(hit, int):
+        raise CapExceeded(f"subspace-rank search needs {hit} rank tests, cap is {cap}",
+                          size=hit)
+    return hit[0]
 
 
 EXHAUSTIVE_SPAN_DIM = 4

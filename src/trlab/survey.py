@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from .checks import ALL_CHECKS, PROVEN_CHECKS, applicable_checks, check_suite
+from .checks import ALL_CHECKS, PROVEN_CHECKS, RECORDED_CHECKS, applicable_checks, check_suite
 from .errors import InputError, LabError, SurveyViolation, json_int
 from .forms import MultilinearForm, gen_random
 from .gfq import FieldCtx, digits, field_from_descriptor
@@ -50,7 +50,7 @@ class SurveyConfig:
             if unknown:
                 raise InputError(f"unknown checks: {sorted(unknown)}")
             d, q = len(self.dims), self.ctx.q
-            if "rank_le_chain_analytic" in self.checks and not (d == 3 and q > 3):
+            if "rank_le_chain_analytic" in set(self.checks) - set(applicable_checks(d, q)):
                 raise InputError(
                     "the chained trilinear bound needs d = 3 and q > d: the "
                     f"constant 3/(1-log_q 3) is undefined at q = {q}, d = {d}")
@@ -179,7 +179,7 @@ def run_survey(cfg: SurveyConfig, csv_path, summary_path=None,
             if name in PROVEN_CHECKS:
                 aborted = (seed_label, name)
                 break
-            if name == "rank_le_triple_analytic":
+            if name in RECORDED_CHECKS:
                 recorded_flat_failures += 1
             else:
                 flagged[name] = flagged.get(name, 0) + 1

@@ -3,6 +3,7 @@
 Each module imports only from the layers below it, so every primitive has
 one owner (the field-contraction kernel lives in linalg, digits in gfq),
 and no module defers an import into a function body to dodge a cycle.
+The rank searches share one deepening driver, ranks._deepen.
 """
 
 import ast
@@ -54,3 +55,27 @@ def test_imports_only_from_lower_layers(name):
     for line, target in _package_imports(_tree(name)):
         assert LAYERS[target] < LAYERS[name], \
             f"{name}.py:{line} imports {target}, which is not below it"
+
+
+def _callers(tree, name):
+    """Innermost enclosing function (or "<module>") of every call to `name`."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                callee = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+                if callee == name:
+                    found.append(owner)
+            is_fn = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_fn else owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+@pytest.mark.parametrize("name", ["_first_vanishing", "_compositions"])
+def test_one_deepening_driver(name):
+    # a second search driver would call these directly
+    callers = {(mod, fn) for mod in MODULES for fn in _callers(_tree(mod), name)}
+    assert callers == {("ranks", "_deepen")}

@@ -8,14 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (enumerated_zero_set_count, naive_charsum_rank, naive_dot,
-                     naive_slice_rank, naive_subspace_rank, naive_zero_set_count,
-                     random_invertible, recursive_slice_rank)
+from oracles import (_vanishes_on, enumerated_zero_set_count, naive_charsum_rank,
+                     naive_dot, naive_slice_rank, naive_subspace_rank,
+                     naive_zero_set_count, random_invertible, recursive_slice_rank)
 from trlab.errors import CapExceeded, InputError
 from trlab.forms import (MultilinearForm, gen_diagonal, gen_from_matrix,
                          gen_random, gen_rank_one)
 from trlab.gfq import field_new
-from trlab.linalg import Matrix, all_vectors, rank, subspace_bases
+from trlab.linalg import Matrix, all_vectors, gaussian_binomial, rank, rref, subspace_bases
 from trlab.ranks import (analytic_rank_charsum, analytic_rank_count,
                          codim_estimate, generic_max_rank, schmidt_rank,
                          slice_rank_exact, subspace_rank_exact, zero_set_count)
@@ -344,6 +344,17 @@ def test_slice_rank_greedy_fallback_flags_inexact():
     assert capped.value >= exact.value  # still a valid upper bound
 
 
+def test_slice_rank_cap_boundary():
+    # the same form projects 811 rank tests: levels 1..3 (its least
+    # flattening rank), each composition costing the subspaces it tries on
+    # the first two slots
+    p = gen_random(F3, (3, 3, 3), 7)
+    at_cap = slice_rank_exact(p, cap=811)
+    below = slice_rank_exact(p, cap=810)
+    assert at_cap.exact and at_cap == slice_rank_exact(p)
+    assert not below.exact and below.witness is None
+
+
 SLICE_KINDS = ("dense", "one slice", "two slices", "sparse", "zero")
 
 
@@ -452,6 +463,87 @@ def test_subspace_rank_pair_of_units():
     e11 = Matrix(F2, [[1, 0], [0, 0]])
     e22 = Matrix(F2, [[0, 0], [0, 1]])
     assert subspace_rank_exact([e11, e22]) == 2
+
+
+def test_subspace_rank_zero_spans_and_empty_members():
+    assert subspace_rank_exact([Matrix.zeros(field_new(3, 2), 2, 3)] * 3) == 0
+    for rows, cols in ((0, 3), (3, 0), (0, 0)):
+        assert subspace_rank_exact([Matrix.zeros(F3, rows, cols)] * 2) == 0
+
+
+def test_subspace_rank_cap_boundary():
+    # two rank-one members: levels 1..2, from the largest member rank to the
+    # least flattening rank; a composition c1 + c2 = r tries every subspace
+    # of codimension c1 in GF(3)^3
+    mats = [Matrix(F3, np.outer(u, v) % 3)
+            for u, v in (((1, 0, 2), (1, 1, 0)), ((0, 1, 1), (2, 0, 1)))]
+    n1, n2 = 3, 3
+    lower = max(rank(m) for m in mats)
+    upper = min(rank(Matrix(F3, np.hstack([m.data for m in mats]))),
+                rank(Matrix(F3, np.vstack([m.data for m in mats]))))
+    cost = sum(gaussian_binomial(n1, n1 - c1, 3) for r in range(lower, upper + 1)
+               for c1 in range(max(0, r - n2), min(n1, r) + 1))
+    assert (lower, upper, cost) == (1, 2, 41)
+    with pytest.raises(CapExceeded) as exc:
+        subspace_rank_exact(mats, cap=cost - 1)
+    assert exc.value.size == cost
+    assert subspace_rank_exact(mats, cap=cost) == 2  # codim 1 on each side
+
+
+def _inverse(ctx, g: Matrix) -> np.ndarray:
+    n = g.rows
+    return rref(Matrix(ctx, np.hstack([g.data, np.eye(n, dtype=np.int64)]))).matrix.data[:, n:]
+
+
+@st.composite
+def _gl_cases(draw):
+    """(p, e, dims, kind, slot permutation, seed): d = 2..4, GF(2)..GF(9)."""
+    p, e = draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]))
+    d = draw(st.integers(2, 4))
+    top = 3 if p ** e <= 3 and d < 4 else 2  # keeps the searches quick
+    dims = tuple(draw(st.integers(1, top)) for _ in range(d))
+    return (p, e, dims, draw(st.sampled_from(SLICE_KINDS)),
+            draw(st.permutations(range(d))), draw(st.integers(0, 2 ** 31)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_gl_cases())
+@example(case=(2, 2, (2, 2, 2), "dense", [2, 0, 1], 1))               # GF(4)
+@example(case=(3, 2, (2, 2, 2, 2), "two slices", [1, 3, 0, 2], 2))   # GF(9), d = 4
+def test_ranks_invariant_under_gl_and_slot_permutations(case):
+    p_char, e, dims, kind, perm, seed = case
+    ctx = field_new(p_char, e)
+    form = _slice_form(ctx, dims, kind, seed)
+    rng = np.random.default_rng(seed)
+    gs = [random_invertible(ctx, n, rng) for n in dims]
+    t = form.coeffs
+    for i, g in enumerate(gs):
+        t = np.moveaxis(naive_dot(ctx, g.data, np.moveaxis(t, i, 0)), 0, i)
+    moved = MultilinearForm(ctx, t)  # P(g_1^T x_1, ..., g_d^T x_d)
+    assert zero_set_count(moved).count == zero_set_count(form).count
+    permuted = MultilinearForm(ctx, np.transpose(t, perm))
+    s, s_perm = slice_rank_exact(form), slice_rank_exact(permuted)
+    assert s.exact and (s_perm.value, s_perm.exact) == (s.value, True)
+    assert abs(analytic_rank_count(permuted) - analytic_rank_count(form)) < 1e-9
+    # a witness W_i of P gives (g_i^T)^-1 W_i, whose rows are those of W_i times g_i^-1
+    moved_w = [naive_dot(ctx, w.basis, _inverse(ctx, g)) for w, g in zip(s.witness.subspaces, gs)]
+    assert _vanishes_on(permuted, [moved_w[k] for k in perm])
+
+
+@settings(max_examples=30, deadline=None)
+@given(p_e=st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]), n_mats=st.integers(1, 3),
+       shape=st.tuples(st.integers(1, 3), st.integers(1, 3)), seed=st.integers(0, 2 ** 31))
+def test_subspace_rank_invariant_under_gl_and_recombination(p_e, n_mats, shape, seed):
+    ctx = field_new(*p_e)
+    rng = np.random.default_rng(seed)
+    size = (n_mats,) + shape
+    stack = rng.integers(0, ctx.q, size=size) * (rng.random(size) < 0.6)
+    g1, g2, h = (random_invertible(ctx, n, rng).data for n in shape + (n_mats,))
+    moved = [naive_dot(ctx, naive_dot(ctx, g1, m), g2.T) for m in stack]  # g1 M g2^T
+    mixed = naive_dot(ctx, h, np.stack(moved))  # an invertible recombination of the members
+    base = subspace_rank_exact([Matrix(ctx, m) for m in stack])
+    assert subspace_rank_exact([Matrix(ctx, m) for m in moved]) == base
+    assert subspace_rank_exact([Matrix(ctx, m) for m in mixed]) == base
 
 
 # -- generic max rank ----------------------------------------------------------------
