@@ -152,7 +152,7 @@ def check_suite(p: MultilinearForm, e_max: int = 3,
     for e in range(1, e_max + 1):
         if (q ** e) ** z.ambient <= heur_cap:
             e_eff = e
-    est = codim_estimate(p, e_eff, cap=heur_cap) if e_eff else None
+    est = codim_estimate(p, e_eff, cap=heur_cap, base=z) if e_eff else None
     heur_skipped = est is None or est.ambiguous
     if not heur_skipped:
         g = est.g_hat

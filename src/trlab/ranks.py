@@ -7,7 +7,10 @@ Three quantities are computed exactly at desk scale:
   matrices M left by contracting the middle slots, Q the counting field's
   order (the bias identity);
 * the analytic rank, both from that count and independently from the
-  normalized character sum over the whole domain;
+  normalized character sum over the whole domain, whose value histogram
+  counts the prefixes (x_1..x_{d-1}) per functional they leave on the last
+  slot, then evaluates each distinct functional at every point of that
+  slot: every value is enumerated, none derived from a rank;
 * the exact slice rank, by iterative deepening over codimension
   compositions, each ranking every subspace tuple in batches.
 
@@ -30,7 +33,7 @@ import numpy as np
 
 from .errors import CapExceeded, InputError
 from .forms import MultilinearForm, restrict_axis_arr
-from .gfq import FieldCtx
+from .gfq import FieldCtx, digits
 from .linalg import (EXHAUSTIVE_SPAN_CAP, Matrix, Subspace, all_vectors, batch_rank,
                      field_dot, gaussian_binomial, kernel_basis, left_kernel_basis, rref,
                      span_basis, stack_matrices, subspace_bases)
@@ -83,17 +86,47 @@ def _grid_blocks(ctx: FieldCtx, t: np.ndarray, stacks):
         yield v.transpose(order).reshape((n_tuples,) + fixed + tuple(b.shape[1] for b in stacks))
 
 
+def _weight_by_key(keys: np.ndarray, weights: np.ndarray):
+    """The distinct keys, ascending, and the int64 sum of the weights of each."""
+    order = np.argsort(keys)
+    keys, weights = keys[order], weights[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[first], np.add.reduceat(weights, first)
+
+
+def _value_histogram(p: MultilinearForm) -> np.ndarray:
+    """How many points of the domain take each field value, as int64 counts.
+
+    Every prefix (x_1..x_{d-1}) leaves a functional u on the last slot;
+    the prefixes are counted per distinct u (keyed by its base-q code),
+    then each distinct u is evaluated at every z and its values are
+    counted with that weight.  Both enumerations run on _grid_blocks, so
+    no step holds more than GRID_BUDGET cells, and nothing is sized
+    q^{n_d}: there are at most min(q^{n_d}, q^{N - n_d}) distinct u.
+    """
+    ctx, q, n_last = p.ctx, p.ctx.q, p.dims[-1]
+    place = q ** np.arange(n_last, dtype=np.int64)
+    codes = weights = np.zeros(0, dtype=np.int64)
+    prefixes = [_AllVectors(ctx, n) for n in p.dims[:-1]]
+    for block in _grid_blocks(ctx, np.moveaxis(p.coeffs, -1, 0), prefixes):
+        new = block.reshape(len(block), n_last) @ place
+        codes, weights = _weight_by_key(np.concatenate([codes, new]),
+                                        np.concatenate([weights, np.ones_like(new)]))
+    hist = np.zeros(q, dtype=np.int64)
+    for block in _grid_blocks(ctx, digits(codes, q, n_last), [_AllVectors(ctx, n_last)]):
+        values = block.reshape(len(block), len(codes))
+        v, w = _weight_by_key(values.ravel(), np.broadcast_to(weights, values.shape).ravel())
+        hist[v] += w
+    return hist
+
+
 def character_sum(p: MultilinearForm, j: int = 1, cap: int = POINT_CAP) -> complex:
     """Normalized sum of psi_j(P(x)) over the whole domain, exactly from the
     histogram of the form's values."""
-    q = p.ctx.q
-    total = q ** sum(p.dims)
+    total = p.ctx.q ** sum(p.dims)
     if total > cap:
         raise CapExceeded(f"character sum needs {total} points, cap is {cap}", size=total)
-    counts = np.zeros(q, dtype=np.int64)
-    for values in _grid_blocks(p.ctx, p.coeffs, [_AllVectors(p.ctx, n) for n in p.dims]):
-        counts += np.bincount(values.reshape(-1), minlength=q)
-    return complex(counts @ p.ctx.char_table(j)) / total
+    return complex(_value_histogram(p) @ p.ctx.char_table(j)) / total
 
 
 @dataclass(frozen=True)
@@ -246,7 +279,7 @@ def _greedy_upper(p: MultilinearForm) -> int:
     return total
 
 
-def _deepen(ctx: FieldCtx, t: np.ndarray, limits, lower: int, cap: int):
+def _deepen(ctx: FieldCtx, t: np.ndarray, limits, lower: float, cap: int):
     """First hit of the least level r = sum(c), c_i <= limits[i], at which
     subspaces of codimension c_i on the slots before the last leave t a
     matrix of rank <= c_last against its last slot, as (r, stacks, index
@@ -277,13 +310,12 @@ def slice_rank_exact(p: MultilinearForm, cap: int = SEARCH_CAP) -> SliceRank:
 
     _deepen with every slot cut up to its dimension; the first witness wins,
     its last subspace the left kernel of the matrix that hit.  For d = 2 the
-    deepening starts at the matrix rank, which every vanishing pair must
-    reach (rank subadditivity).  Past the cap, a greedy upper bound is
-    returned flagged non-exact.
+    deepening starts at the least flattening rank, which is the matrix rank
+    that every vanishing pair must reach (rank subadditivity).  Past the
+    cap, a greedy upper bound is returned flagged non-exact.
     """
     ctx = p.ctx
-    lower = rref(Matrix(ctx, p.coeffs)).rank if p.d == 2 else 1
-    hit = _deepen(ctx, p.coeffs, p.dims, lower, cap)
+    hit = _deepen(ctx, p.coeffs, p.dims, math.inf if p.d == 2 else 1, cap)
     if isinstance(hit, int):
         return SliceRank(_greedy_upper(p), None, False)
     r, stacks, idx, mat = hit
@@ -383,16 +415,23 @@ class CodimEstimate:
         return self.g_hat is None
 
 
-def codim_estimate(p: MultilinearForm, e_max: int, cap: int = POINT_CAP) -> CodimEstimate:
+def codim_estimate(p: MultilinearForm, e_max: int, cap: int = POINT_CAP,
+                   base: Optional[ZeroSetCount] = None) -> CodimEstimate:
+    """Estimate from the counts at e = 1..e_max; `base`, the count of p at
+    e = 1 when the caller already holds it, is used instead of counting it
+    again."""
     if e_max < 1:
         raise InputError(f"e_max must be >= 1, got {e_max}")
     if p.d < 2:
         raise InputError("codimension estimate needs at least two slots")
+    if base is not None and base.extension_degree != 1:
+        raise InputError(f"the base count must be over the base field, got extension "
+                         f"degree {base.extension_degree}")
     trace = []
     logq = math.log(p.ctx.q)
     ambient = sum(p.dims[1:])
     for e in range(1, e_max + 1):
-        z = zero_set_count(p, e, cap=cap)
+        z = base if e == 1 and base is not None else zero_set_count(p, e, cap=cap)
         dim_est = math.log(z.count) / (e * logq)
         trace.append(ExtensionCount(e, z.count, dim_est))
     x = trace[-1].dim_estimate

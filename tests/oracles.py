@@ -6,11 +6,13 @@ FieldCtx scalar arithmetic.  That arithmetic is the array arithmetic on one
 element, so it is itself checked against digitwise_add, schoolbook_mul
 and frobenius_trace, which work on digit lists and the modulus alone.
 naive_dot is the scalar-loop reference for the library's one contraction
-kernel, linalg.field_dot.  Two exceptions are former library routes kept
-as faster references: enumerated_zero_set_count, the vectorized zero-set
-enumeration (field_dot and all_vectors), for mid-size counts; and
-recursive_slice_rank, the per-tuple slice-rank search (canonical subspace
-order, one rref per tuple), which pins the first-witness rule.
+kernel, linalg.field_dot.  Three exceptions are former library routes
+kept as faster references: enumerated_zero_set_count, the vectorized
+zero-set enumeration (field_dot and all_vectors), for mid-size counts;
+enumerated_value_histogram, the form's value at every point of the domain,
+for mid-size character sums; and recursive_slice_rank, the per-tuple
+slice-rank search (canonical subspace order, one rref per tuple), which
+pins the first-witness rule.
 """
 
 import itertools
@@ -112,6 +114,16 @@ def enumerated_zero_set_count(p: MultilinearForm, ext_e: int = 1) -> int:
         v = np.moveaxis(v, 1, -1)
         v = field_dot(ext, v, all_vectors(ext, n).T)
     return int((v == 0).all(axis=0).sum())
+
+
+def enumerated_value_histogram(p: MultilinearForm) -> np.ndarray:
+    """Contract every slot with every vector and count the values, as int64
+    counts per field element.  Materializes the whole q^(n1+...+nd) grid,
+    so keep it to mid-size cases."""
+    v = p.coeffs
+    for n in p.dims:
+        v = field_dot(p.ctx, np.moveaxis(v, 0, -1), all_vectors(p.ctx, n).T)
+    return np.bincount(v.reshape(-1), minlength=p.ctx.q)
 
 
 def naive_charsum_rank(p: MultilinearForm, j: int = 1) -> float:

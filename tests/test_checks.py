@@ -90,6 +90,26 @@ def test_suite_heuristic_skip_flag():
     assert rep.outcome("codim_gap_le_analytic") is None
 
 
+def test_suite_counts_each_extension_once(monkeypatch):
+    # the suite's own e = 1 count is handed to the codim estimate, so each
+    # extension degree is counted once, with the estimate unchanged
+    import trlab.checks as C
+    import trlab.ranks as R
+    p = gen_random(F3, (3, 3, 3), 2)
+    want = R.codim_estimate(p, 2, cap=C.HEURISTIC_POINT_CAP)
+    count, seen = R.zero_set_count, []
+
+    def counted(p, e=1, cap=R.POINT_CAP):
+        seen.append(e)
+        return count(p, e, cap)
+
+    monkeypatch.setattr(C, "zero_set_count", counted)
+    monkeypatch.setattr(R, "zero_set_count", counted)
+    rep = check_suite(p, e_max=2)
+    assert seen == [1, 2]
+    assert (rep.g_hat, rep.g_interval) == (want.g_hat, want.interval)
+
+
 def test_suite_rejects_one_slot():
     with pytest.raises(InputError):
         check_suite(MultilinearForm(F2, np.array([1, 0], dtype=np.int64)))

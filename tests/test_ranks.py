@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (_vanishes_on, enumerated_zero_set_count, naive_charsum_rank,
-                     naive_dot, naive_slice_rank, naive_subspace_rank,
+from oracles import (_vanishes_on, enumerated_value_histogram, enumerated_zero_set_count,
+                     naive_charsum_rank, naive_dot, naive_slice_rank, naive_subspace_rank,
                      naive_zero_set_count, random_invertible, recursive_slice_rank)
 from trlab.errors import CapExceeded, InputError
 from trlab.forms import (MultilinearForm, gen_diagonal, gen_from_matrix,
@@ -195,13 +195,18 @@ def test_charsum_matches_naive_scalar_sum():
 
 
 @pytest.mark.parametrize("ctx,dims,seed,levels", [
-    (F2, (2, 2, 2), 6, [3]),                        # one-vector chunks, no recursion
-    (F2, (1, 2, 3), 3, [3, 2, 2]),                  # recursion, then chunks of 2 vectors
-    (F3, (2, 2, 2), 4, [3] + [2] * 9),              # recursion, then one-vector chunks
-    (field_new(2, 2), (1, 2, 2), 5, [3] + [2] * 4),  # the same over GF(4)
+    (F2, (2, 2, 2), 6, [2, 1]),                      # prefixes and table in chunks
+    (F2, (1, 2, 3), 3, [2, 1]),                      # one-vector prefix chunks
+    (F3, (2, 2, 2), 4, [2] + [1] * 10),              # prefix recursion on each x_1
+    (field_new(2, 2), (1, 2, 2), 5, [2] + [1] * 5),  # the same over GF(4)
+    # prefix recursion on each x_1, then chunks of 3 vectors; more than 16
+    # distinct functionals send the table into recursion on each of 32 points
+    (F2, (2, 3, 5), 1, [2] + [1] * 5 + [0] * 32),
 ])
 def test_charsum_chunked_paths_match_naive(ctx, dims, seed, levels, monkeypatch):
     # a 16-cell budget forces the chunked and the one-vector recursive paths
+    # of both enumerations: the prefixes (x_1..x_{d-1}) and the table of
+    # their distinct last-slot functionals at every point
     import trlab.ranks as R
     p = gen_random(ctx, dims, seed)
     want = naive_charsum_rank(p)
@@ -242,6 +247,85 @@ def test_grid_blocks_follow_product_order(budget, monkeypatch):
         blocks = list(R._grid_blocks(ctx, t, pair))
         n_tuples = pair[0].shape[0] * pair[1].shape[0]
         assert [b.shape for b in blocks] == [(n_tuples, 2, 2, pair[0].shape[1], pair[1].shape[1])]
+
+
+@st.composite
+def _histogram_cases(draw):
+    """(p, e, dims, kind, seed): d = 1..4, slot dimensions 1..3, q^N within
+    the enumeration oracle's grid."""
+    p, e = draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]))
+    top = int(math.log(ORACLE_GRID) / math.log(p ** e) + 1e-9)
+    d = draw(st.integers(1, 4))
+    dims = []
+    for i in range(d):
+        dims.append(draw(st.integers(1, min(3, top - sum(dims) - (d - 1 - i)))))
+    kind = draw(st.sampled_from(["dense", "sparse", "zero"]))
+    return p, e, tuple(dims), kind, draw(st.integers(0, 2 ** 31))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_histogram_cases())
+@example(case=(2, 1, (3,), "dense", 1))              # d = 1: one functional
+@example(case=(5, 1, (3, 3, 3), "dense", 2))         # GF(5) 3x3x3
+@example(case=(3, 2, (2, 2, 1), "sparse", 3))        # GF(9), a last slot of dimension 1
+@example(case=(2, 2, (2, 1, 2, 1), "zero", 0))       # GF(4), d = 4, zero form
+@example(case=(3, 1, (3, 3), "dense", 5))            # injective prefixes: U = q^(N - n_d)
+def test_value_histogram_matches_enumeration(case):
+    # the two-phase histogram equals the full-grid one as integers, at the
+    # default budget and at 16 cells; the prefix phase yields n_d cells per
+    # prefix and the table phase never more than the q^N points
+    import trlab.ranks as R
+    p_char, e, dims, kind, seed = case
+    ctx = field_new(p_char, e)
+    rng = np.random.default_rng(seed)
+    coeffs = rng.integers(0, ctx.q, size=dims)
+    if kind != "dense":
+        coeffs *= rng.random(dims) < (0.2 if kind == "sparse" else 0)
+    form = MultilinearForm(ctx, coeffs)
+    want = enumerated_value_histogram(form)
+    q_all, n_last = ctx.q ** sum(dims), dims[-1]
+    grid_blocks = R._grid_blocks
+    for budget in (R.GRID_BUDGET, 16):
+        cells, depth = [], []
+
+        def counted(ctx, t, stacks):
+            outer = not depth  # the recursion re-yields the blocks of its calls
+            depth.append(outer)
+            if outer:
+                cells.append(0)
+            try:
+                for block in grid_blocks(ctx, t, stacks):
+                    cells[-1] += block.size if outer else 0
+                    yield block
+            finally:
+                depth.pop()
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(R, "GRID_BUDGET", budget)
+            mp.setattr(R, "_grid_blocks", counted)
+            got = R._value_histogram(form)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        prefix_cells, table_cells = cells
+        assert prefix_cells == n_last * q_all // ctx.q ** n_last
+        assert table_cells <= q_all and table_cells % ctx.q ** n_last == 0
+
+
+def test_charsum_ranks_no_matrix(monkeypatch):
+    # acceptance 2's independent route: the character sum agrees with the
+    # count while every rank and count entry point of ranks refuses to run
+    import trlab.ranks as R
+    forms = [gen_random(ctx, dims, seed) for ctx in (F3, field_new(3, 2))
+             for dims, seed in (((2, 2, 2), 1), ((3, 2), 2), ((2, 1, 2), 3))]
+    forms.append(MultilinearForm(F3, np.zeros((2, 2, 2), dtype=np.int64)))
+    counts = [analytic_rank_count(p) for p in forms]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the character sum must not rank or count")
+
+    for name in ("batch_rank", "rref", "zero_set_count"):
+        monkeypatch.setattr(R, name, refuse)
+    for p, a in zip(forms, counts):
+        assert abs(analytic_rank_charsum(p) - a) < 1e-9
 
 
 def test_charsum_bilinear_identity_value():
@@ -407,6 +491,25 @@ def test_slice_rank_matches_recursive_search(case):
         got = [w.basis for w in s.witness.subspaces]
         assert [b.shape for b in got] == [b.shape for b in bases]
         assert all(np.array_equal(g, b) for g, b in zip(got, bases))
+
+
+def test_bilinear_slice_rank_ranks_its_matrix_twice(monkeypatch):
+    # the search starts at the least flattening rank, so the matrix and its
+    # transpose are the only rrefs (no third rank for a separate floor)
+    import trlab.ranks as R
+    p = gen_random(F3, (3, 3), 8)
+    value, bases = recursive_slice_rank(p)
+    calls = []
+
+    def counted(m):
+        calls.append(m.data.shape)
+        return rref(m)
+
+    monkeypatch.setattr(R, "rref", counted)
+    s = slice_rank_exact(p)
+    assert calls == [(3, 3), (3, 3)]
+    assert (s.value, s.exact) == (value, True)
+    assert all(np.array_equal(w.basis, b) for w, b in zip(s.witness.subspaces, bases))
 
 
 def test_schmidt_rank_flags():
@@ -604,6 +707,26 @@ def test_codim_estimate_refuses_ambiguous_rounding():
     est = codim_estimate(p, 1)
     assert est.ambiguous and est.g_hat is None
     assert est.interval == (0, 1)
+
+
+def test_codim_estimate_takes_the_base_count(monkeypatch):
+    # a passed e = 1 count is used, not counted again, and gives the same
+    # estimate; a count over an extension is refused as the base
+    import trlab.ranks as R
+    p = gen_random(F3, (2, 2, 2), 4)
+    want = codim_estimate(p, 3)
+    base = zero_set_count(p, 1)
+    counted = []
+
+    def count(p, e=1, cap=R.POINT_CAP):
+        counted.append(e)
+        return zero_set_count(p, e, cap)
+
+    monkeypatch.setattr(R, "zero_set_count", count)
+    assert codim_estimate(p, 3, base=base) == want
+    assert counted == [2, 3]
+    with pytest.raises(InputError, match="extension degree 2"):
+        codim_estimate(p, 3, base=zero_set_count(p, 2))
 
 
 def test_codim_estimate_validation():
