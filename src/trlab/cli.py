@@ -25,7 +25,7 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer too long to convert
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -34,9 +34,9 @@ def _lab_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except LabError as exc:
+        except (LabError, OSError) as exc:  # OSError: an output path that cannot be written
             click.echo(f"error: {exc}", err=True)
-            sys.exit(exc.exit_code)
+            sys.exit(exc.exit_code if isinstance(exc, LabError) else InputError.exit_code)
     return wrapper
 
 

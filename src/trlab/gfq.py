@@ -205,13 +205,16 @@ class FieldCtx:
     def __init__(self, p: int, e: int):
         if not isinstance(p, int) or not isinstance(e, int):
             raise InputError("p and e must be integers")
-        if not _is_prime(p):
-            raise InputError(f"{p} is not prime")
         if e < 1:
             raise InputError(f"extension degree must be >= 1, got {e}")
-        q = p ** e
-        if q > SIZE_CAP:
-            raise CapExceeded(f"field order {q} exceeds size cap {SIZE_CAP}", size=q)
+        # p^e > SIZE_CAP for every p >= 2 once 2^e does, so a large e is
+        # refused before the power is taken, and a large p before its
+        # primality test
+        q = p ** e if e < SIZE_CAP.bit_length() else None
+        if p >= 2 and (q is None or q > SIZE_CAP):
+            raise CapExceeded(f"field order {p}^{e} exceeds size cap {SIZE_CAP}", size=q)
+        if not _is_prime(p):
+            raise InputError(f"{p} is not prime")
         self.p = p
         self.e = e
         self.q = q
@@ -452,6 +455,8 @@ def field_from_order(q: int) -> FieldCtx:
     """Context for GF(q) from a prime-power order."""
     if q < 2:
         raise InputError(f"field order must be >= 2, got {q}")
+    if q > SIZE_CAP:  # before factoring q by trial division
+        raise CapExceeded(f"field order {q} exceeds size cap {SIZE_CAP}", size=q)
     facs = _prime_factors(q)
     if len(facs) != 1:
         raise InputError(f"{q} is not a prime power")

@@ -12,7 +12,8 @@ import numpy as np
 from .errors import CapExceeded, InputError, json_int
 from .gfq import FieldCtx, descriptor, field_from_descriptor
 from .linalg import (EXHAUSTIVE_SPAN_CAP, Matrix, Subspace, all_vectors, batch_rank,
-                     field_dot, image_basis, kernel_basis, left_kernel_basis, span_basis)
+                     field_dot, image_basis, kernel_basis, left_kernel_basis, rank,
+                     span_basis)
 
 PROFILE_CAP = 10 ** 6  # bound on projective points per rank profile
 
@@ -79,25 +80,34 @@ class RankProfile:
         return tuple(r for (_, r) in self.points[:-1])
 
 
-def _affine_members(ext: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stack of A + t B over all t in the extension, shape (Q, rows, cols)."""
+def _line_ranks(pencil: Pencil, ext_e: int, cap: int = PROFILE_CAP):
+    """(ext, emb, ranks): rank(A + tB) for every t in GF(q^ext_e) in encoding
+    order, then rank(B) at the point at infinity, from one batch_rank call.
+    The cap is checked before the extension is built; rank does not change
+    under field extension, so ranks[emb] are the ranks over the base field."""
+    if ext_e < 1:
+        raise InputError(f"extension degree must be >= 1, got {ext_e}")
+    q = pencil.ctx.q
+    # q^k > cap once 2^k > cap, so a large k is refused before the power is taken
+    npts = q ** ext_e + 1 if ext_e < cap.bit_length() else None
+    if npts is None or npts > cap:
+        raise CapExceeded(f"the pencil line needs {q}^{ext_e} + 1 projective points, "
+                          f"cap is {cap}", size=npts)
+    ext, emb = pencil.ctx.extension(ext_e)
+    ea, eb = emb[pencil.a.data], emb[pencil.b.data]
     ts = np.arange(ext.q, dtype=np.int64)
-    return ext.add_arr(a[None], ext.mul_arr(ts[:, None, None], b[None]))
+    members = ext.add_arr(ea[None], ext.mul_arr(ts[:, None, None], eb[None]))
+    return ext, emb, batch_rank(ext, np.concatenate([members, eb[None]]))
+
+
+def _maps_into_image(ctx: FieldCtx, a: np.ndarray, rank_a: int, vectors: np.ndarray) -> bool:
+    """Every row of `vectors` lies in the column space of A (of rank rank_a)."""
+    return rank(Matrix(ctx, np.vstack([a.T, vectors]))) == rank_a
 
 
 def rank_profile(pencil: Pencil, ext_e: int = 1, cap: int = PROFILE_CAP) -> RankProfile:
-    if ext_e < 1:
-        raise InputError(f"extension degree must be >= 1, got {ext_e}")
-    ctx = pencil.ctx
-    npts = ctx.q ** ext_e + 1
-    if npts > cap:
-        raise CapExceeded(f"rank profile needs {npts} projective points, cap is {cap}",
-                          size=npts)
-    ext, emb = ctx.extension(ext_e)
-    ea, eb = emb[pencil.a.data], emb[pencil.b.data]
-    ranks = batch_rank(ext, _affine_members(ext, ea, eb))
-    pts = [((1, int(t)), int(r)) for t, r in enumerate(ranks)]
-    pts.append(((0, 1), int(batch_rank(ext, eb[None])[0])))
+    ext, _, ranks = _line_ranks(pencil, ext_e, cap)
+    pts = [((1, t), int(r)) for t, r in enumerate(ranks[:-1])] + [((0, 1), int(ranks[-1]))]
     return RankProfile(ext_e, ext.q, tuple(pts))
 
 
@@ -122,19 +132,13 @@ class KernelImageReport:
 
 def kernel_image_check(pencil: Pencil, ext_e: int = 4) -> KernelImageReport:
     ctx = pencil.ctx
-    ker = kernel_basis(pencil.a)
-    rank_a = pencil.a.cols - ker.dim  # rank-nullity
-    base_ranks = batch_rank(ctx, _affine_members(ctx, pencil.a.data, pencil.b.data))
-    hyp_base = bool((base_ranks <= rank_a).all())
-    ext, emb = ctx.extension(ext_e)
-    ext_ranks = batch_rank(ext, _affine_members(ext, emb[pencil.a.data], emb[pencil.b.data]))
-    hyp_ext = bool((ext_ranks <= rank_a).all())
-    if ker.dim == 0:
-        concl = True
-    else:
-        mapped = field_dot(ctx, ker.basis, pencil.b.data.T)  # rows: B k
-        concl = image_basis(pencil.a).contains_vectors(mapped)
-    return KernelImageReport(hyp_base, hyp_ext, bool(concl), rank_a, ext_e)
+    _, emb, ranks = _line_ranks(pencil, ext_e)
+    rank_a = int(ranks[0])  # t = 0
+    hyp_base = bool((ranks[emb] <= rank_a).all())
+    hyp_ext = bool((ranks[:-1] <= rank_a).all())
+    mapped = field_dot(ctx, kernel_basis(pencil.a).basis, pencil.b.data.T)  # rows: B k
+    concl = _maps_into_image(ctx, pencil.a.data, rank_a, mapped)
+    return KernelImageReport(hyp_base, hyp_ext, concl, rank_a, ext_e)
 
 
 @dataclass(frozen=True)
@@ -153,12 +157,10 @@ def radical_restriction_check(b: Matrix, c: Matrix, ext_e: int = 4) -> RadicalRe
     if b.ctx != c.ctx or b.data.shape != c.data.shape:
         raise InputError("the two matrices must share field and shape")
     ctx = b.ctx
-    s_v = kernel_basis(b)
-    rank_b = b.cols - s_v.dim  # rank-nullity
-    ext, emb = ctx.extension(ext_e)
-    ranks = batch_rank(ext, _affine_members(ext, emb[b.data], emb[c.data]))
-    hyp = bool((ranks <= rank_b).all())
-    s_u = left_kernel_basis(b)
+    _, _, ranks = _line_ranks(Pencil(b, c), ext_e)
+    rank_b = int(ranks[0])  # t = 0
+    hyp = bool((ranks[:-1] <= rank_b).all())
+    s_u, s_v = left_kernel_basis(b), kernel_basis(b)
     restr = field_dot(ctx, field_dot(ctx, s_u.basis, c.data), s_v.basis.T)
     concl = not restr.any()
     return RadicalRestrictionReport(hyp, bool(concl), (not hyp) or bool(concl),
@@ -186,11 +188,13 @@ class MaxRankReduction:
     tried_ext: int
 
 
-def _verify_pair(field: FieldCtx, span_mats: np.ndarray, m: Matrix) -> tuple[bool, Subspace, Subspace]:
+def _verify_pair(field: FieldCtx, span_mats: np.ndarray,
+                 m: Matrix) -> tuple[bool, Subspace, Optional[Subspace]]:
     w = kernel_basis(m)
-    v = image_basis(m)
     mapped = field_dot(field, w.basis, np.moveaxis(span_mats, 2, 0))  # l w, every l and w
-    return v.contains_vectors(mapped), w, v
+    ok = _maps_into_image(field, m.data, m.cols - w.dim,
+                          mapped.reshape(w.dim * len(span_mats), m.rows))
+    return ok, w, image_basis(m) if ok else None
 
 
 def max_rank_reduction(mats, ext_e: int = 4, samples: int = 50, seed: int = 0) -> MaxRankReduction:

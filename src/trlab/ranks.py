@@ -62,8 +62,9 @@ def _grid_blocks(ctx: FieldCtx, t: np.ndarray, stacks):
     basis).  Yields blocks of shape (B,) + t.shape[:-s] + (k_1, ..., k_s),
     one row per tuple, in lexicographic order of the choice indices with the
     first stack slowest.  The enumeration is chunked on the first stack so no
-    block holds more than GRID_BUDGET cells; when even one of its choices is
-    too many, recurse on each single choice.
+    block holds more than GRID_BUDGET cells, counting the digits of the chosen
+    bases; when even one of its choices is too many, recurse on each single
+    choice.
     """
     s = len(stacks)
     if s == 0:
@@ -72,7 +73,9 @@ def _grid_blocks(ctx: FieldCtx, t: np.ndarray, stacks):
     f = t.ndim - s
     fixed, first, rest = t.shape[:f], stacks[0], stacks[1:]
     cells = math.prod(fixed) * first.shape[1] * math.prod(b.shape[0] * b.shape[1] for b in rest)
-    block = max(1, GRID_BUDGET // cells) if cells else first.shape[0]  # k = 0: empty cells
+    # a block holds its cells and the k_1 x n_1 digits of each chosen basis
+    per = cells + first.shape[1] * first.shape[2]
+    block = max(1, GRID_BUDGET // per) if cells else first.shape[0]  # k = 0: empty cells
     for start in range(0, first.shape[0], block):
         chosen = first[start:start + block]
         v = field_dot(ctx, np.moveaxis(t, f, -1), np.moveaxis(chosen, 2, 0))

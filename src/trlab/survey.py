@@ -1,20 +1,23 @@
 """Seeded ensemble surveys: run the check suite per instance, emit CSV + JSON.
 
 Output is deterministic for a fixed (seed, config) regardless of the
-worker count: instances are independent, results are assembled in index
-order, and all numbers are exact integers or fixed-format floats.
+worker count: instances are independent, rows are written in index order
+as they finish, and all numbers are exact integers or fixed-format floats.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Optional
 
-from .checks import ALL_CHECKS, PROVEN_CHECKS, RECORDED_CHECKS, applicable_checks, check_suite
-from .errors import InputError, LabError, SurveyViolation, json_int
+from .checks import (ALL_CHECKS, PROVEN_CHECKS, RECORDED_CHECKS, RankReport, applicable_checks,
+                     check_suite)
+from .errors import InputError, SurveyViolation, json_int
 from .forms import MultilinearForm, gen_random
 from .gfq import FieldCtx, digits, field_from_descriptor
 from .ranks import POINT_CAP, SEARCH_CAP
@@ -103,108 +106,83 @@ def _instances(cfg: SurveyConfig):
     """Yield (seed_label, form) pairs; exhaustive mode enumerates all forms."""
     if cfg.exhaustive:
         size = math.prod(cfg.dims)
-        total = cfg.ctx.q ** size
-        for enc in range(total):
+        for enc in range(cfg.ctx.q ** size):
             yield enc, MultilinearForm(cfg.ctx, digits(enc, cfg.ctx.q, size).reshape(cfg.dims))
     else:
-        for i in range(cfg.count):
-            s = cfg.seed + i
+        for s in range(cfg.seed, cfg.seed + cfg.count):
             yield s, gen_random(cfg.ctx, cfg.dims, s)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+def _row(cfg: SurveyConfig, seed_label: int, rep: RankReport,
+         check_names: tuple[str, ...]) -> list[str]:
+    """The CSV cells of one instance, in header order; floats get 12 significant digits."""
+    checks = ["skip" if o is None else ("pass" if o.passed else "fail")
+              for o in map(rep.outcome, check_names)]
+    return [str(seed_label), str(cfg.ctx.q), "x".join(str(n) for n in cfg.dims),
+            str(cfg.d), f"{rep.analytic_rank:.12g}", str(rep.schmidt.value),
+            "1" if rep.schmidt.exact else "0", "" if rep.g_hat is None else str(rep.g_hat),
+            *checks]
 
 
-def _row(cfg: SurveyConfig, seed_label: int, form: MultilinearForm,
-         check_names: tuple[str, ...]) -> dict:
-    rep = check_suite(form, e_max=cfg.e_max,
-                      point_cap=cfg.point_cap, search_cap=cfg.search_cap)
-    cells = {
-        "seed": str(seed_label),
-        "q": str(cfg.ctx.q),
-        "dims": "x".join(str(n) for n in cfg.dims),
-        "d": str(cfg.d),
-        "a": _fmt(rep.analytic_rank),
-        "r": str(rep.schmidt.value),
-        "r_exact": "1" if rep.schmidt.exact else "0",
-        "g_hat": "" if rep.g_hat is None else str(rep.g_hat),
-    }
-    for name in check_names:
-        o = rep.outcome(name)
-        cells[f"check:{name}"] = "skip" if o is None else ("pass" if o.passed else "fail")
-    cells["_a"] = rep.analytic_rank
-    cells["_r"] = rep.schmidt.value
-    return cells
+def _reports(cfg: SurveyConfig, workers: int):
+    """Yield (seed_label, RankReport) in index order, drawing the forms lazily
+    with at most 2 * workers in flight; closing cancels those not started."""
+    pool = ThreadPoolExecutor(max_workers=workers)
+    window = deque()
+    try:
+        for seed_label, form in _instances(cfg):
+            window.append((seed_label, pool.submit(
+                check_suite, form, e_max=cfg.e_max,
+                point_cap=cfg.point_cap, search_cap=cfg.search_cap)))
+            if len(window) == 2 * workers:
+                label, fut = window.popleft()
+                yield label, fut.result()
+        for label, fut in window:
+            yield label, fut.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def run_survey(cfg: SurveyConfig, csv_path, summary_path=None,
                workers: Optional[int] = None) -> dict:
-    """Run the ensemble; write CSV rows and return (and optionally write)
-    the JSON summary.
+    """Run the ensemble, writing each CSV row once it and every row before
+    it are done; return (and optionally write) the JSON summary.
 
-    A failed proven check aborts with the offending seed: those are
-    theorem-level statements, so a failure is an implementation bug.
-    Heuristic failures only accumulate counts in the summary.  An instance
-    that raises (e.g. CapExceeded) ends the survey: the CSV keeps the rows
-    before it in index order, and the error is re-raised.
+    A failed proven check (a theorem-level statement, so an implementation
+    bug) writes its row and aborts with the offending seed.  Heuristic
+    failures only accumulate counts in the summary.  An instance that
+    raises (e.g. CapExceeded) ends the survey with the rows before it on
+    disk, and the error propagates.
     """
     nworkers = workers if workers is not None else cfg.workers
     check_names = cfg.column_checks()
     header = list(BASE_COLUMNS) + [f"check:{n}" for n in check_names]
-    pairs = list(_instances(cfg))
+    instances, ratios, flagged, recorded_flat_failures = 0, [], {}, 0
+    with open(csv_path, "w", newline="") as fh, closing(_reports(cfg, nworkers)) as reports:
+        fh.write(f"# {CSV_VERSION}\n{','.join(header)}\n")
+        for seed_label, rep in reports:
+            cells = _row(cfg, seed_label, rep, check_names)
+            fh.write(",".join(cells) + "\n")
+            instances += 1
+            for name, cell in zip(check_names, cells[len(BASE_COLUMNS):]):
+                if cell != "fail":
+                    continue
+                if name in PROVEN_CHECKS:
+                    raise SurveyViolation(
+                        f"proven check {name} failed on instance seed={seed_label}; "
+                        "this is an implementation bug", seed=seed_label, check=name)
+                if name in RECORDED_CHECKS:
+                    recorded_flat_failures += 1
+                else:
+                    flagged[name] = flagged.get(name, 0) + 1
+            if rep.analytic_rank > 1e-9:
+                ratios.append(rep.schmidt.value / rep.analytic_rank)
 
-    rows, failed = [], None  # failed: the first instance error, in index order
-    with ThreadPoolExecutor(max_workers=nworkers) as pool:
-        futs = [pool.submit(_row, cfg, s, f, check_names) for s, f in pairs]
-        for fut in futs:  # index order, not completion order
-            try:
-                rows.append(fut.result())
-            except LabError as exc:
-                failed = exc
-                pool.shutdown(cancel_futures=True)
-                break
-
-    ratios = []
-    flagged: dict[str, int] = {}
-    recorded_flat_failures = 0
-    lines = [f"# {CSV_VERSION}", ",".join(header)]
-    aborted = None
-    for (seed_label, _), row in zip(pairs, rows):
-        lines.append(",".join(row[c] for c in header))
-        for name in check_names:
-            val = row[f"check:{name}"]
-            if val != "fail":
-                continue
-            if name in PROVEN_CHECKS:
-                aborted = (seed_label, name)
-                break
-            if name in RECORDED_CHECKS:
-                recorded_flat_failures += 1
-            else:
-                flagged[name] = flagged.get(name, 0) + 1
-        if aborted:
-            break
-        if row["_a"] > 1e-9:
-            ratios.append(row["_r"] / row["_a"])
-
-    text = "\n".join(lines) + "\n"
-    with open(csv_path, "w", newline="") as fh:
-        fh.write(text)
-    if aborted:
-        seed_label, name = aborted
-        raise SurveyViolation(
-            f"proven check {name} failed on instance seed={seed_label}; "
-            "this is an implementation bug", seed=seed_label, check=name)
-    if failed is not None:
-        raise failed
-
-    stats = {"min": None, "mean": None, "max": None}
-    if ratios:
-        stats = {"min": min(ratios), "mean": sum(ratios) / len(ratios), "max": max(ratios)}
+    stats = ({"min": min(ratios), "mean": sum(ratios) / len(ratios), "max": max(ratios)}
+             if ratios else dict.fromkeys(("min", "mean", "max")))
     summary = {
         "version": CSV_VERSION,
-        "instances": len(rows),
+        "instances": instances,
         "ratio_r_over_a": stats,
         "heuristic_flagged_failures": flagged,
         "recorded_flat_failures": recorded_flat_failures,

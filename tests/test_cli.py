@@ -17,7 +17,7 @@ runner = CliRunner()
 
 def _write(tmp_path, name, obj):
     path = tmp_path / name
-    path.write_text(json.dumps(obj))
+    path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
     return str(path)
 
 
@@ -114,6 +114,35 @@ F2_DESC = {"p": 2, "e": 1}
 POLY = {"field": {"p": 3, "e": 1}, "n": 2, "terms": [{"exps": [1, 1], "coeff": 1}]}
 SURVEY = {"field": F2_DESC, "dims": [2, 2], "count": 1}
 PENCIL = {"field": F2_DESC, "rows": 1, "cols": 2, "A": [1, 0], "B": [0, 1]}
+
+
+@pytest.mark.parametrize("args,code", [
+    (["rank", "{huge_e}"], 3),
+    (["pencil", "kr", "{pencil}", "--ext-e", "20"], 3),
+    (["gen", "random", "--dims", "2", "--q", str((2 ** 127 - 1) * (2 ** 107 - 1))], 3),
+    (["rank", "{long_int}"], 2),
+    (["gen", "random", "--dims", "2", "--q", "2", "-o", "{missing}/t.json"], 2),
+    (["pencil", "block", "--n", "2", "--q", "2", "-o", "{missing}/p.json"], 2),
+    (["survey", "{config}", "-o", "{missing}/s.csv"], 2),
+    (["survey", "{config}", "-o", "{csv}", "--summary", "{missing}/s.json"], 2),
+], ids=["rank-field-e-10000", "pencil-kr-ext-e-20", "gen-q-71-digits", "rank-int-5001-digits",
+        "gen-out-missing-dir", "pencil-block-out-missing-dir", "survey-csv-missing-dir",
+        "survey-summary-missing-dir"])
+def test_exit_code_refused_without_traceback(tmp_path, args, code):
+    # each is refused up front, or at the failing write, with its exit code
+    paths = {
+        "huge_e": _write(tmp_path, "e.json", {"field": {"p": 3, "e": 10000}, "dims": [2],
+                                              "coeffs": [1, 0]}),
+        "long_int": _write(tmp_path, "i.json", '{"field": {"p": 2, "e": 1}, "dims": [2], '
+                                               '"coeffs": [1, ' + "1" * 5001 + "]}"),
+        "pencil": _write(tmp_path, "p.json", PENCIL),
+        "config": _write(tmp_path, "c.json", SURVEY),
+        "csv": str(tmp_path / "out.csv"),
+        "missing": str(tmp_path / "missing"),
+    }
+    res = runner.invoke(main, [a.format(**paths) for a in args])
+    assert res.exit_code == code, res.output
+    assert isinstance(res.exception, SystemExit)
 
 
 @pytest.mark.parametrize("cmd,obj,opts", [

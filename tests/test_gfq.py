@@ -49,6 +49,18 @@ def test_bad_degree_and_cap():
         field_new(2, 0)
     with pytest.raises(CapExceeded):
         field_new(2, 21)
+    # refused before the power: p^e would take seconds, and its digits
+    # could not be printed
+    with pytest.raises(CapExceeded) as exc:
+        field_new(3, 10 ** 7)
+    assert "3^10000000" in str(exc.value) and exc.value.size is None
+    with pytest.raises(CapExceeded) as exc:
+        field_new(1048583, 1)  # a prime above the cap
+    assert exc.value.size == 1048583
+    with pytest.raises(CapExceeded):  # before seconds of Miller-Rabin
+        field_new(10 ** 4200 + 7, 1)
+    with pytest.raises(InputError):
+        field_new(1, 30)
 
 
 def test_field_from_order():
@@ -56,6 +68,8 @@ def test_field_from_order():
     assert field_from_order(8) is field_new(2, 3)
     with pytest.raises(InputError):
         field_from_order(6)
+    with pytest.raises(CapExceeded):  # refused before trial division
+        field_from_order((2 ** 127 - 1) * (2 ** 107 - 1))
 
 
 @pytest.mark.parametrize("p,e", SMALL_FIELDS)

@@ -69,6 +69,53 @@ def test_rank_profile_cap():
         rank_profile(kronecker_block(F2, "Ln", 2), 20, cap=100)
 
 
+@pytest.mark.parametrize("check", [
+    lambda pen, e: kernel_image_check(pen, e),
+    lambda pen, e: radical_restriction_check(pen.a, pen.b, e),
+], ids=["kernel_image", "radical_restriction"])
+def test_line_checks_refuse_past_the_profile_cap_before_the_field(check, monkeypatch):
+    import trlab.gfq as gfq
+    from trlab.pencils import PROFILE_CAP
+
+    def no_extension(self, k):
+        raise AssertionError(f"extension of degree {k} built past the cap")
+
+    monkeypatch.setattr(gfq.FieldCtx, "extension", no_extension)
+    pen = kronecker_block(F2, "Ln", 2)
+    assert 2 ** 20 + 1 > PROFILE_CAP
+    for ext_e in (20, 10 ** 9):  # the second would take seconds to raise 2 to
+        with pytest.raises(CapExceeded):
+            check(pen, ext_e)
+
+
+def test_kernel_image_check_ranks_the_line_once(monkeypatch):
+    # A + tB for every t of GF(81), and B, in one batch; the base-field
+    # hypothesis reads the embedded points of the same ranks
+    import trlab.pencils as P
+    calls = []
+    batch_rank = P.batch_rank
+
+    def counted(ctx, mats):
+        calls.append(len(mats))
+        return batch_rank(ctx, mats)
+
+    monkeypatch.setattr(P, "batch_rank", counted)
+    rep = kernel_image_check(all_elements_diagonal_pencil(3), ext_e=4)
+    assert calls == [3 ** 4 + 1]
+    assert rep.affine_hypothesis_base and not rep.affine_hypothesis_ext
+    assert rep.rank_a == 2 and not rep.conclusion
+
+
+def test_line_checks_on_pencils_without_rows():
+    # B(ker A) lies in the zero image when there are no rows (a reshape of
+    # the empty mapped vectors used to raise ValueError)
+    pen = kronecker_block(F2, "Ln_transpose", 0)
+    assert pen.shape == (0, 1)
+    rep = kernel_image_check(pen, ext_e=2)
+    assert rep.conclusion and rep.rank_a == 0
+    assert max_rank_reduction([pen.a, pen.b]).success
+
+
 def test_kernel_image_identity_pair():
     pen = Pencil(Matrix.identity(F2, 2), Matrix.identity(F2, 2))
     rep = kernel_image_check(pen, ext_e=4)

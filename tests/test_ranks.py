@@ -223,6 +223,26 @@ def test_charsum_chunked_paths_match_naive(ctx, dims, seed, levels, monkeypatch)
     assert calls == levels
 
 
+def test_grid_blocks_count_the_chosen_digits(monkeypatch):
+    # one fixed functional on GF(2)^20: each block's cells are one value per
+    # vector, but each chosen vector brings 20 digits; the peak stays within
+    # 4x the budget in int64 bytes (44x when only the cells were counted)
+    import tracemalloc
+
+    import trlab.ranks as R
+    monkeypatch.setattr(R, "GRID_BUDGET", 1 << 16)
+    p = gen_random(F2, (20,), 3)
+    assert p.coeffs.any()
+    tracemalloc.start()
+    try:
+        hist = R._value_histogram(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hist.tolist() == [1 << 19, 1 << 19]  # a nonzero functional is balanced
+    assert peak <= 4 * 8 * R.GRID_BUDGET
+
+
 @pytest.mark.parametrize("budget", [1 << 22, 16, 1])
 def test_grid_blocks_follow_product_order(budget, monkeypatch):
     # a lazy vector stack, 2-dim subspaces and the identity after a free
@@ -628,6 +648,7 @@ def test_ranks_invariant_under_gl_and_slot_permutations(case):
     s, s_perm = slice_rank_exact(form), slice_rank_exact(permuted)
     assert s.exact and (s_perm.value, s_perm.exact) == (s.value, True)
     assert abs(analytic_rank_count(permuted) - analytic_rank_count(form)) < 1e-9
+    assert abs(analytic_rank_charsum(permuted) - analytic_rank_charsum(form)) < 1e-9
     # a witness W_i of P gives (g_i^T)^-1 W_i, whose rows are those of W_i times g_i^-1
     moved_w = [naive_dot(ctx, w.basis, _inverse(ctx, g)) for w, g in zip(s.witness.subspaces, gs)]
     assert _vanishes_on(permuted, [moved_w[k] for k in perm])

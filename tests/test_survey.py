@@ -1,11 +1,13 @@
 """Ensemble surveys: determinism, exhaustive mode, abort semantics."""
 
+import dataclasses
+import itertools
 import json
 
 import pytest
 from click.testing import CliRunner
 
-from trlab.checks import CheckOutcome
+from trlab.checks import CheckOutcome, check_suite
 from trlab.cli import main
 from trlab.errors import CapExceeded, InputError, SurveyViolation
 from trlab.gfq import field_new
@@ -79,18 +81,16 @@ def test_survey_floats_are_12_sig_digits(tmp_path):
             assert len(digits) <= 12
 
 
+def _sabotaged(p, **kw):
+    """The real report with analytic_le_rank failed."""
+    rep = check_suite(p, **kw)
+    bad = CheckOutcome("analytic_le_rank", 5.0, 1.0, 1e-9, False, "le", False, "x")
+    outcomes = tuple(bad if o.name == "analytic_le_rank" else o for o in rep.outcomes)
+    return dataclasses.replace(rep, outcomes=outcomes)
+
+
 def test_survey_abort_on_proven_failure(tmp_path, monkeypatch):
-    real = survey_mod.check_suite
-
-    def sabotage(p, **kw):
-        rep = real(p, **kw)
-        bad = CheckOutcome("analytic_le_rank", 5.0, 1.0, 1e-9, False, "le", False, "x")
-        outcomes = tuple(bad if o.name == "analytic_le_rank" else o for o in rep.outcomes)
-        return type(rep)(rep.q, rep.d, rep.dims, rep.analytic_rank, rep.slice_rank,
-                         rep.schmidt, rep.zero_count, rep.ambient, rep.g_hat,
-                         rep.g_interval, rep.constants, outcomes, rep.heuristics_skipped)
-
-    monkeypatch.setattr(survey_mod, "check_suite", sabotage)
+    monkeypatch.setattr(survey_mod, "check_suite", _sabotaged)
     out = tmp_path / "a.csv"
     with pytest.raises(SurveyViolation) as exc:
         run_survey(_cfg(count=3), out)
@@ -120,6 +120,50 @@ def test_survey_keeps_finished_rows_when_an_instance_fails(tmp_path, workers):
                                     "--workers", str(workers)])
     assert res.exit_code == 3
     assert cli_out.read_bytes() == prefix.read_bytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_survey_streams_through_a_bounded_window(tmp_path, monkeypatch, workers):
+    # 3^8 = 6,561 forms, and the first check_suite call raises: the CSV is
+    # open before it runs, and no more than 2 * workers + 1 forms are built
+    real_form, real_suite = survey_mod.MultilinearForm, survey_mod.check_suite
+    built, calls, out = itertools.count(), itertools.count(), tmp_path / "x.csv"
+    opened = []
+
+    def counted_form(*args):
+        next(built)
+        return real_form(*args)
+
+    def first_call_raises(p, **kw):
+        opened.append(out.exists())
+        if next(calls) == 0:
+            raise CapExceeded("refused", size=None)
+        return real_suite(p, **kw)
+
+    monkeypatch.setattr(survey_mod, "MultilinearForm", counted_form)
+    monkeypatch.setattr(survey_mod, "check_suite", first_call_raises)
+    cfg = SurveyConfig(ctx=field_new(3, 1), dims=(2, 2, 2), count=0, seed=0, e_max=1,
+                       exhaustive=True)
+    with pytest.raises(CapExceeded):
+        run_survey(cfg, out, workers=workers)
+    assert next(built) <= 2 * workers + 1
+    assert opened and all(opened)
+    assert len(out.read_text().splitlines()) <= 3  # header x2 + at most one finished row
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_survey_proven_failure_stops_new_instances(tmp_path, monkeypatch, workers):
+    calls = itertools.count()
+
+    def failing(p, **kw):
+        next(calls)
+        return _sabotaged(p, **kw)
+
+    monkeypatch.setattr(survey_mod, "check_suite", failing)
+    with pytest.raises(SurveyViolation) as exc:
+        run_survey(_cfg(count=40), tmp_path / "a.csv", workers=workers)
+    assert exc.value.seed == 11
+    assert next(calls) <= 2 * workers + 1
 
 
 def test_config_parsing_and_validation():
