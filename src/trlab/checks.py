@@ -149,9 +149,10 @@ def check_suite(p: MultilinearForm, e_max: int = 3,
     # the estimator is a heuristic; cap its enumeration depth independently
     heur_cap = min(point_cap, HEURISTIC_POINT_CAP)
     e_eff = 0
-    for e in range(1, e_max + 1):
-        if (q ** e) ** z.ambient <= heur_cap:
-            e_eff = e
+    for e in range(1, e_max + 1):  # the sizes grow with e: stop at the first too large
+        if (q ** e) ** z.ambient > heur_cap:
+            break
+        e_eff = e
     est = codim_estimate(p, e_eff, cap=heur_cap, base=z) if e_eff else None
     heur_skipped = est is None or est.ambiguous
     if not heur_skipped:

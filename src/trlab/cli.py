@@ -103,7 +103,7 @@ def rank_cmd(tensor, slot, ext_e):
 @click.argument("kind", type=click.Choice(["diagonal", "random", "rank1"]))
 @click.option("--dims", required=True, help="Slot dimensions, e.g. 2,2,2 or 3x3.")
 @click.option("--q", "order", type=int, required=True, help="Field order (prime power).")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("-o", "--out", type=click.Path(), default=None,
               help="Output file (defaults to stdout).")
 @_lab_errors
@@ -119,6 +119,7 @@ def gen_cmd(kind, dims, order, seed, out):
     elif kind == "random":
         p = forms.gen_random(ctx, dims, seed)
     else:
+        forms.check_coeff_cap(dims)
         rng = np.random.default_rng(seed)
         covs = []
         for n in dims:
@@ -184,7 +185,7 @@ def pencil_kr(pencil_file, ext_e):
 @click.argument("pencil_file", type=click.Path())
 @click.option("--ext-e", type=click.IntRange(min=1), default=4, show_default=True)
 @click.option("--samples", type=click.IntRange(min=0), default=50, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @_lab_errors
 def pencil_prop22(pencil_file, ext_e, samples, seed):
     """Max-rank kernel/image reduction for the span of the two pencil members."""

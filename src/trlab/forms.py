@@ -19,6 +19,13 @@ from .linalg import Matrix, Subspace, field_dot
 COEFF_CAP = 10 ** 7  # dense storage bound on prod(dims)
 
 
+def check_coeff_cap(dims) -> None:
+    """Refuse dense coefficients of these dims above COEFF_CAP, before allocating them."""
+    size = math.prod(dims)
+    if size > COEFF_CAP:
+        raise CapExceeded(f"coefficient tensor of size {size} exceeds {COEFF_CAP}", size=size)
+
+
 class MultilinearForm:
     __slots__ = ("ctx", "coeffs")
 
@@ -26,9 +33,7 @@ class MultilinearForm:
         arr = np.asarray(coeffs, dtype=np.int64)
         if arr.ndim < 1 or any(n < 1 for n in arr.shape):
             raise InputError("a form needs d >= 1 slots, each of dimension >= 1")
-        if arr.size > COEFF_CAP:
-            raise CapExceeded(f"coefficient tensor of size {arr.size} exceeds {COEFF_CAP}",
-                              size=arr.size)
+        check_coeff_cap(arr.shape)
         if arr.size and (arr.min() < 0 or arr.max() >= ctx.q):
             raise InputError(f"coefficients must lie in [0, {ctx.q})")
         self.ctx = ctx
@@ -136,6 +141,7 @@ def move_slot_first(p: MultilinearForm, slot: int) -> MultilinearForm:
 
 def gen_diagonal(ctx: FieldCtx, n: int, d: int) -> MultilinearForm:
     """sum_i x1[i] x2[i] ... xd[i]."""
+    check_coeff_cap((n,) * d)
     c = np.zeros((n,) * d, dtype=np.int64)
     idx = np.arange(n)
     c[tuple(idx for _ in range(d))] = 1
@@ -144,6 +150,9 @@ def gen_diagonal(ctx: FieldCtx, n: int, d: int) -> MultilinearForm:
 
 def gen_random(ctx: FieldCtx, dims, seed: int) -> MultilinearForm:
     """Uniform i.i.d. coefficients from a seeded generator (reproducible)."""
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
+    check_coeff_cap(dims)
     rng = np.random.default_rng(seed)
     c = rng.integers(0, ctx.q, size=tuple(dims), dtype=np.int64)
     return MultilinearForm(ctx, c)

@@ -326,36 +326,25 @@ def subspaces_iter(ctx: FieldCtx, n: int, k: int, cap: int = SUBSPACE_CAP) -> It
 
 
 def batch_rank(ctx: FieldCtx, mats: np.ndarray) -> np.ndarray:
-    """Ranks of a stack of matrices (B, m, n), eliminated in lockstep."""
+    """Ranks of a stack of matrices (B, m, n), eliminated in lockstep with no
+    row swaps: in each column the first free (not yet pivot) row nonzero there
+    clears that column from the other free rows.  Row operations keep the rank,
+    pivot rows end in echelon form and free rows zero: the pivots count rref's rank."""
     work = np.array(mats, dtype=np.int64)
     if work.ndim != 3:
         raise InputError("batch_rank expects a (batch, rows, cols) array")
-    nb, m, n = work.shape
-    if nb == 0 or m == 0 or n == 0:
-        return np.zeros(nb, dtype=np.int64)
-    row = np.zeros(nb, dtype=np.int64)
-    ridx = np.arange(m)
-    for col in range(n):
-        colv = work[:, :, col]
-        cand = (colv != 0) & (ridx[None, :] >= row[:, None])
-        has = cand.any(axis=1)
-        if not has.any():
-            continue
-        b = np.nonzero(has)[0]
-        r0 = row[b]
-        p0 = np.argmax(cand[b], axis=1)
-        swap = work[b, p0, :].copy()
-        work[b, p0, :] = work[b, r0, :]
-        work[b, r0, :] = swap
-        piv = work[b, r0, col]
-        pivrow = ctx.mul_arr(work[b, r0, :], ctx.inv_arr(piv)[:, None])
-        work[b, r0, :] = pivrow
-        sub = work[b]
-        # rows at or above the pivot get factor 0, which leaves them unchanged
-        fac = np.where(ridx[None, :] > r0[:, None], sub[:, :, col], 0)
-        if fac.any():
-            work[b] = ctx.sub_arr(sub, ctx.mul_arr(fac[:, :, None], pivrow[:, None, :]))
-        row[b] += 1
-        if (row == m).all():
+    free = np.ones(work.shape[:2], dtype=bool)
+    for col in range(work.shape[2]):
+        if not free.any():
             break
-    return row
+        cand = (work[:, :, col] != 0) & free
+        b = np.flatnonzero(cand.any(axis=1))
+        p = np.argmax(cand[b], axis=1)
+        free[b, p] = False
+        fac = work[b, :, col] * free[b]
+        keep = fac.any(axis=1)
+        if keep.any():
+            b, pivrow = b[keep], work[b[keep], p[keep]]
+            fac = ctx.mul_arr(fac[keep], ctx.inv_arr(pivrow[:, col])[:, None])
+            work[b] = ctx.sub_arr(work[b], ctx.mul_arr(fac[:, :, None], pivrow[:, None, :]))
+    return work.shape[1] - free.sum(axis=1)

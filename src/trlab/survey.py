@@ -11,14 +11,14 @@ import json
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
 from .checks import (ALL_CHECKS, PROVEN_CHECKS, RECORDED_CHECKS, RankReport, applicable_checks,
                      check_suite)
 from .errors import InputError, SurveyViolation, json_int
-from .forms import MultilinearForm, gen_random
+from .forms import MultilinearForm, check_coeff_cap, gen_random
 from .gfq import FieldCtx, digits, field_from_descriptor
 from .ranks import POINT_CAP, SEARCH_CAP
 
@@ -42,8 +42,9 @@ class SurveyConfig:
     def __post_init__(self):
         if not self.dims or any(n < 1 for n in self.dims):
             raise InputError("dims must be positive")
-        if self.count < 0:
-            raise InputError("ensemble size must be >= 0")
+        check_coeff_cap(self.dims)
+        if self.count < 0 or self.seed < 0:
+            raise InputError("ensemble size and seed must be >= 0")
         if self.e_max < 1 or self.workers < 1:
             raise InputError("e_max and workers must be >= 1")
         if self.point_cap <= 0 or self.search_cap <= 0:
@@ -146,7 +147,8 @@ def _reports(cfg: SurveyConfig, workers: int):
 def run_survey(cfg: SurveyConfig, csv_path, summary_path=None,
                workers: Optional[int] = None) -> dict:
     """Run the ensemble, writing each CSV row once it and every row before
-    it are done; return (and optionally write) the JSON summary.
+    it are done; return (and optionally write) the JSON summary.  Both paths
+    are opened before the first instance runs, so a bad path costs no work.
 
     A failed proven check (a theorem-level statement, so an implementation
     bug) writes its row and aborts with the offending seed.  Heuristic
@@ -158,7 +160,9 @@ def run_survey(cfg: SurveyConfig, csv_path, summary_path=None,
     check_names = cfg.column_checks()
     header = list(BASE_COLUMNS) + [f"check:{n}" for n in check_names]
     instances, ratios, flagged, recorded_flat_failures = 0, [], {}, 0
-    with open(csv_path, "w", newline="") as fh, closing(_reports(cfg, nworkers)) as reports:
+    with (open(csv_path, "w", newline="") as fh,
+          nullcontext() if summary_path is None else open(summary_path, "w") as sfh,
+          closing(_reports(cfg, nworkers)) as reports):
         fh.write(f"# {CSV_VERSION}\n{','.join(header)}\n")
         for seed_label, rep in reports:
             cells = _row(cfg, seed_label, rep, check_names)
@@ -177,18 +181,16 @@ def run_survey(cfg: SurveyConfig, csv_path, summary_path=None,
                     flagged[name] = flagged.get(name, 0) + 1
             if rep.analytic_rank > 1e-9:
                 ratios.append(rep.schmidt.value / rep.analytic_rank)
-
-    stats = ({"min": min(ratios), "mean": sum(ratios) / len(ratios), "max": max(ratios)}
-             if ratios else dict.fromkeys(("min", "mean", "max")))
-    summary = {
-        "version": CSV_VERSION,
-        "instances": instances,
-        "ratio_r_over_a": stats,
-        "heuristic_flagged_failures": flagged,
-        "recorded_flat_failures": recorded_flat_failures,
-    }
-    if summary_path is not None:
-        with open(summary_path, "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        stats = ({"min": min(ratios), "mean": sum(ratios) / len(ratios), "max": max(ratios)}
+                 if ratios else dict.fromkeys(("min", "mean", "max")))
+        summary = {
+            "version": CSV_VERSION,
+            "instances": instances,
+            "ratio_r_over_a": stats,
+            "heuristic_flagged_failures": flagged,
+            "recorded_flat_failures": recorded_flat_failures,
+        }
+        if sfh is not None:
+            json.dump(summary, sfh, indent=2, sort_keys=True)
+            sfh.write("\n")
     return summary

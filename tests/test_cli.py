@@ -94,6 +94,8 @@ def test_exit_code_cap_exceeded(tmp_path):
     ["verify", "{tensor}", "--e-max", "0"],
     ["survey", "{config}", "-o", "{csv}", "--workers", "-3"],
     ["survey", "{config}", "-o", "{csv}", "--workers", "0"],
+    ["gen", "random", "--dims", "2,2", "--q", "2", "--seed", "-1"],
+    ["pencil", "prop22", "{pencil}", "--seed", "-1"],
 ])
 def test_exit_code_non_positive_counts(tmp_path, args):
     ctx = field_new(2, 1)
@@ -114,6 +116,7 @@ F2_DESC = {"p": 2, "e": 1}
 POLY = {"field": {"p": 3, "e": 1}, "n": 2, "terms": [{"exps": [1, 1], "coeff": 1}]}
 SURVEY = {"field": F2_DESC, "dims": [2, 2], "count": 1}
 PENCIL = {"field": F2_DESC, "rows": 1, "cols": 2, "A": [1, 0], "B": [0, 1]}
+HUGE_DIMS = ",".join([str(1 << 17)] * 3)  # 2^51 coefficients: refused before allocation
 
 
 @pytest.mark.parametrize("args,code", [
@@ -125,9 +128,14 @@ PENCIL = {"field": F2_DESC, "rows": 1, "cols": 2, "A": [1, 0], "B": [0, 1]}
     (["pencil", "block", "--n", "2", "--q", "2", "-o", "{missing}/p.json"], 2),
     (["survey", "{config}", "-o", "{missing}/s.csv"], 2),
     (["survey", "{config}", "-o", "{csv}", "--summary", "{missing}/s.json"], 2),
+    (["gen", "diagonal", "--dims", HUGE_DIMS, "--q", "2"], 3),
+    (["gen", "random", "--dims", HUGE_DIMS, "--q", "2"], 3),
+    (["gen", "rank1", "--dims", HUGE_DIMS, "--q", "2"], 3),
+    (["survey", "{huge_config}", "-o", "{csv}"], 3),
 ], ids=["rank-field-e-10000", "pencil-kr-ext-e-20", "gen-q-71-digits", "rank-int-5001-digits",
         "gen-out-missing-dir", "pencil-block-out-missing-dir", "survey-csv-missing-dir",
-        "survey-summary-missing-dir"])
+        "survey-summary-missing-dir", "gen-diagonal-2^51-coeffs", "gen-random-2^51-coeffs",
+        "gen-rank1-2^51-coeffs", "survey-2^51-coeffs"])
 def test_exit_code_refused_without_traceback(tmp_path, args, code):
     # each is refused up front, or at the failing write, with its exit code
     paths = {
@@ -137,6 +145,7 @@ def test_exit_code_refused_without_traceback(tmp_path, args, code):
                                                '"coeffs": [1, ' + "1" * 5001 + "]}"),
         "pencil": _write(tmp_path, "p.json", PENCIL),
         "config": _write(tmp_path, "c.json", SURVEY),
+        "huge_config": _write(tmp_path, "h.json", {**SURVEY, "dims": [1 << 17] * 3}),
         "csv": str(tmp_path / "out.csv"),
         "missing": str(tmp_path / "missing"),
     }
@@ -151,6 +160,7 @@ def test_exit_code_refused_without_traceback(tmp_path, args, code):
     (["survey"], {**SURVEY, "dims": [True, 2]}, ["-o", "{csv}"]),
     (["survey"], {**SURVEY, "exhaustive": "no"}, ["-o", "{csv}"]),
     (["survey"], {**SURVEY, "checks": [["x"]]}, ["-o", "{csv}"]),
+    (["survey"], {**SURVEY, "seed": -1}, ["-o", "{csv}"]),
     (["gowers"], {**POLY, "terms": [{"exps": [1, 1], "coeff": "x"}]}, ["--d", "2"]),
     (["gowers"], {**POLY, "terms": [{"exps": [True, 1], "coeff": 1}]}, ["--d", "2"]),
     (["gowers"], {**POLY, "n": True, "terms": []}, ["--d", "2"]),
@@ -160,7 +170,8 @@ def test_exit_code_refused_without_traceback(tmp_path, args, code):
     (["rank"], {"field": F2_DESC, "dims": [2, 2], "coeffs": [True, 0, 0, False]}, []),
     (["pencil", "kr"], {**PENCIL, "rows": 2, "A": [True, 0, 0, True], "B": [1, 0, 0, 1]}, []),
 ], ids=["rank-dims-bool", "rank-field-e-bool", "survey-dims-bool",
-        "survey-exhaustive-str", "survey-checks-nested", "gowers-coeff-str",
+        "survey-exhaustive-str", "survey-checks-nested", "survey-seed-negative",
+        "gowers-coeff-str",
         "gowers-exps-bool", "gowers-n-bool", "gowers-d-negative", "gowers-d-zero",
         "pencil-rows-bool", "rank-coeffs-bool", "pencil-entries-bool"])
 def test_exit_code_malformed_input(tmp_path, cmd, obj, opts):

@@ -160,15 +160,17 @@ RANK_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 4), (3, 4)]
 
 @st.composite
 def _rank_stacks(draw):
-    """(p, e, stack): B in 1..6 of m x n matrices, m and n in 1..5; each is
-    random, zero, a rank-1 outer product, or random with a repeated row."""
+    """(p, e, stack): B in 1..24 of m x n matrices, m and n in 1..5; each is
+    random, zero, a rank-1 outer product, random with a repeated row, or
+    random with its leading rows zero, so that one stack's members finish
+    their pivots at different columns."""
     p, e = draw(st.sampled_from(RANK_FIELDS))
-    nb, m, n = draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    nb, m, n = draw(st.integers(1, 24)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
     q = p ** e
     ctx = field_new(p, e)
     mats = []
     for _ in range(nb):
-        kind = draw(st.sampled_from(["random", "zero", "outer", "repeat"]))
+        kind = draw(st.sampled_from(["random", "zero", "outer", "repeat", "late"]))
         cells = st.lists(st.integers(0, q - 1), min_size=m * n, max_size=m * n)
         a = np.array(draw(cells), dtype=np.int64).reshape(m, n)
         if kind == "zero":
@@ -178,6 +180,8 @@ def _rank_stacks(draw):
             a = ctx.mul_arr(u[:, None], a[0][None, :])
         elif kind == "repeat" and m > 1:
             a[draw(st.integers(1, m - 1))] = a[0]
+        elif kind == "late" and m > 1:
+            a[:draw(st.integers(1, m - 1))] = 0
         mats.append(a)
     return p, e, np.stack(mats)
 
@@ -194,6 +198,8 @@ def test_batch_rank_matches_rref_property(case):
 def test_batch_rank_edge_shapes():
     assert batch_rank(F2, np.zeros((0, 3, 3), dtype=np.int64)).tolist() == []
     assert batch_rank(F2, np.zeros((2, 0, 3), dtype=np.int64)).tolist() == [0, 0]
+    assert batch_rank(F2, np.zeros((2, 3, 0), dtype=np.int64)).tolist() == [0, 0]
+    assert batch_rank(F3, np.zeros((3, 2, 4), dtype=np.int64)).tolist() == [0, 0, 0]
 
 
 def test_matrix_validation():

@@ -166,6 +166,33 @@ def test_survey_proven_failure_stops_new_instances(tmp_path, monkeypatch, worker
     assert next(calls) <= 2 * workers + 1
 
 
+def test_survey_opens_the_summary_before_any_instance(tmp_path, monkeypatch):
+    calls = itertools.count()
+
+    def counted(p, **kw):
+        next(calls)
+        return check_suite(p, **kw)
+
+    monkeypatch.setattr(survey_mod, "check_suite", counted)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"field": {"p": 3, "e": 1}, "dims": [2, 2, 2], "count": 200}))
+    res = CliRunner().invoke(main, ["survey", str(cfg), "-o", str(tmp_path / "s.csv"),
+                                    "--summary", str(tmp_path / "missing" / "s.json")])
+    assert res.exit_code == 2
+    assert next(calls) == 0
+
+
+def test_survey_huge_e_max_is_the_depth_cap(tmp_path):
+    # F3 2x2x2: (3^e)^4 passes the heuristic point cap for e <= 3 only
+    outs = []
+    for e_max in (3, 10 ** 30):
+        out = tmp_path / f"e{len(outs)}.csv"
+        run_survey(config_from_obj({"field": {"p": 3, "e": 1}, "dims": [2, 2, 2],
+                                    "count": 3, "e_max": e_max}), out)
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_config_parsing_and_validation():
     cfg = config_from_obj({
         "field": {"p": 2, "e": 1},
