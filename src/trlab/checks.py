@@ -18,8 +18,9 @@ import numpy as np
 from .errors import CapExceeded, InputError
 from .forms import MultilinearForm, PolynomialFn, polarize
 from .gfq import digits
-from .ranks import (POINT_CAP, SEARCH_CAP, SchmidtRank, analytic_rank_from_count,
-                    character_sum, codim_estimate, slice_rank_exact, zero_set_count)
+from .ranks import (GRID_BUDGET, POINT_CAP, SEARCH_CAP, SchmidtRank,
+                    analytic_rank_from_count, character_sum, codim_estimate,
+                    slice_rank_exact, zero_set_count)
 
 TOLERANCE = 1e-9
 HEURISTIC_POINT_CAP = 1 << 22  # per-extension budget for the codim estimate
@@ -192,6 +193,10 @@ def gowers_norm_power(q: PolynomialFn, d: int, cap: int = POINT_CAP) -> float:
     total = npts ** (d + 1)
     if total > cap:
         raise CapExceeded(f"norm needs {total} tuples, cap is {cap}", size=total)
+    cells = max(npts ** d, npts * npts * n)  # the per-x grid, and the addition table
+    if cells > GRID_BUDGET:
+        raise CapExceeded(f"norm needs a grid of {cells} cells, budget is {GRID_BUDGET}",
+                          size=cells)
     fvals = q.ctx.char_table(1)[q.evaluate_all()]
     # vector addition table on encoded points
     pts = np.arange(npts, dtype=np.int64)
@@ -227,8 +232,9 @@ def gowers_bias_identity(q: PolynomialFn, d: int, cap: int = POINT_CAP) -> Check
     differencing of f values on the left, coefficient extraction plus an
     exact value histogram on the right.
     """
+    form = polarize(q, d)  # refuses d >= p or a degree above d before the norm runs
     left = gowers_norm_power(q, d, cap=cap)
-    right = multilinear_bias(polarize(q, d), cap=cap)
+    right = multilinear_bias(form, cap=cap)
     return _eq("gowers_bias_identity", left, right,
                "iterated-derivative average of psi(Q) equals the bias of "
                "the associated symmetric multilinear form")

@@ -163,6 +163,7 @@ def gen_rank_one(ctx: FieldCtx, covectors) -> MultilinearForm:
     vs = [np.asarray(v, dtype=np.int64) for v in covectors]
     if not vs:
         raise InputError("need at least one covector")
+    check_coeff_cap([v.size for v in vs])
     cur = vs[0]
     for v in vs[1:]:
         cur = ctx.mul_arr(cur[..., None], v[(None,) * cur.ndim + (slice(None),)])

@@ -12,8 +12,7 @@ import numpy as np
 from .errors import CapExceeded, InputError, json_int
 from .gfq import FieldCtx, descriptor, field_from_descriptor
 from .linalg import (EXHAUSTIVE_SPAN_CAP, Matrix, Subspace, all_vectors, batch_rank,
-                     field_dot, image_basis, kernel_basis, left_kernel_basis, rank,
-                     span_basis)
+                     field_dot, kernel_basis, rref, span_basis)
 
 PROFILE_CAP = 10 ** 6  # bound on projective points per rank profile
 
@@ -100,9 +99,18 @@ def _line_ranks(pencil: Pencil, ext_e: int, cap: int = PROFILE_CAP):
     return ext, emb, batch_rank(ext, np.concatenate([members, eb[None]]))
 
 
-def _maps_into_image(ctx: FieldCtx, a: np.ndarray, rank_a: int, vectors: np.ndarray) -> bool:
-    """Every row of `vectors` lies in the column space of A (of rank rank_a)."""
-    return rank(Matrix(ctx, np.vstack([a.T, vectors]))) == rank_a
+def _kernel_image(field: FieldCtx, m: np.ndarray,
+                  mats: np.ndarray) -> tuple[Subspace, Optional[Subspace]]:
+    """(ker M, im M), with im M None unless every matrix of the (k, rows, cols)
+    stack maps ker M into im M.  One rref of [M^T; l w for every l and w]: the
+    containment holds exactly when its rank is rank M, and then its nonzero
+    rows are the canonical basis of im M (RREF depends on the row span only)."""
+    rows, cols = m.shape
+    w = kernel_basis(Matrix(field, m))
+    mapped = field_dot(field, w.basis, np.moveaxis(mats, 2, 0))  # l w, every l and w
+    red = rref(Matrix(field, np.vstack([m.T, mapped.reshape(w.dim * len(mats), rows)])))
+    ok = red.rank == cols - w.dim
+    return w, Subspace(field, rows, red.matrix.data[:red.rank]) if ok else None
 
 
 def rank_profile(pencil: Pencil, ext_e: int = 1, cap: int = PROFILE_CAP) -> RankProfile:
@@ -131,20 +139,19 @@ class KernelImageReport:
 
 
 def kernel_image_check(pencil: Pencil, ext_e: int = 4) -> KernelImageReport:
-    ctx = pencil.ctx
     _, emb, ranks = _line_ranks(pencil, ext_e)
     rank_a = int(ranks[0])  # t = 0
     hyp_base = bool((ranks[emb] <= rank_a).all())
     hyp_ext = bool((ranks[:-1] <= rank_a).all())
-    mapped = field_dot(ctx, kernel_basis(pencil.a).basis, pencil.b.data.T)  # rows: B k
-    concl = _maps_into_image(ctx, pencil.a.data, rank_a, mapped)
-    return KernelImageReport(hyp_base, hyp_ext, concl, rank_a, ext_e)
+    _, image = _kernel_image(pencil.ctx, pencil.a.data, pencil.b.data[None])
+    return KernelImageReport(hyp_base, hyp_ext, image is not None, rank_a, ext_e)
 
 
 @dataclass(frozen=True)
 class RadicalRestrictionReport:
-    """If rank(B + tC) stays at most rank(B) over the extension, the
-    direction C must vanish on left-radical x right-radical of B."""
+    """If rank(B + tC) stays at most rank(B) over the extension, C must vanish on
+    left-radical x right-radical of B, i.e. C(ker B) <= im B (im B annihilates the
+    left kernel): the kernel-image conclusion for the pencil (B, C)."""
 
     hypothesis: bool
     conclusion: bool
@@ -156,15 +163,9 @@ class RadicalRestrictionReport:
 def radical_restriction_check(b: Matrix, c: Matrix, ext_e: int = 4) -> RadicalRestrictionReport:
     if b.ctx != c.ctx or b.data.shape != c.data.shape:
         raise InputError("the two matrices must share field and shape")
-    ctx = b.ctx
-    _, _, ranks = _line_ranks(Pencil(b, c), ext_e)
-    rank_b = int(ranks[0])  # t = 0
-    hyp = bool((ranks[:-1] <= rank_b).all())
-    s_u, s_v = left_kernel_basis(b), kernel_basis(b)
-    restr = field_dot(ctx, field_dot(ctx, s_u.basis, c.data), s_v.basis.T)
-    concl = not restr.any()
-    return RadicalRestrictionReport(hyp, bool(concl), (not hyp) or bool(concl),
-                                    rank_b, ext_e)
+    rep = kernel_image_check(Pencil(b, c), ext_e)
+    hyp, concl = rep.affine_hypothesis_ext, rep.conclusion
+    return RadicalRestrictionReport(hyp, concl, (not hyp) or concl, rep.rank_a, ext_e)
 
 
 @dataclass(frozen=True)
@@ -186,15 +187,6 @@ class MaxRankReduction:
     witness_field_degree: int
     tried_base: int
     tried_ext: int
-
-
-def _verify_pair(field: FieldCtx, span_mats: np.ndarray,
-                 m: Matrix) -> tuple[bool, Subspace, Optional[Subspace]]:
-    w = kernel_basis(m)
-    mapped = field_dot(field, w.basis, np.moveaxis(span_mats, 2, 0))  # l w, every l and w
-    ok = _maps_into_image(field, m.data, m.cols - w.dim,
-                          mapped.reshape(w.dim * len(span_mats), m.rows))
-    return ok, w, image_basis(m) if ok else None
 
 
 def max_rank_reduction(mats, ext_e: int = 4, samples: int = 50, seed: int = 0) -> MaxRankReduction:
@@ -234,13 +226,13 @@ def max_rank_reduction(mats, ext_e: int = 4, samples: int = 50, seed: int = 0) -
     tried_base = tried_ext = 0
     for idx in np.nonzero(base_ranks == rtilde)[0]:
         tried_base += 1
-        ok, w, v = _verify_pair(ctx, basis, Matrix(ctx, base_mats[idx]))
-        if ok:
+        w, v = _kernel_image(ctx, base_mats[idx], basis)
+        if v is not None:
             return MaxRankReduction(True, rtilde, w, v, False, 1, tried_base, 0)
     for idx in np.nonzero(ext_ranks == rtilde)[0]:
         tried_ext += 1
-        ok, w, v = _verify_pair(ext, ebasis, Matrix(ext, ext_mats[idx]))
-        if ok:
+        w, v = _kernel_image(ext, ext_mats[idx], ebasis)
+        if v is not None:
             return MaxRankReduction(True, rtilde, w, v, True, ext_e, tried_base, tried_ext)
     return MaxRankReduction(False, rtilde, None, None, False, ext_e, tried_base, tried_ext)
 

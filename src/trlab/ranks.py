@@ -353,15 +353,12 @@ def subspace_rank_exact(mats, cap: int = SEARCH_CAP) -> int:
     return hit[0]
 
 
-EXHAUSTIVE_SPAN_DIM = 4
-
-
 def generic_max_rank(mats, ext_e: int = 1, samples: int = 0, seed: int = 0) -> int:
     """Max rank over the span, stabilized over extensions.
 
-    Exhausts all base-field combinations when the span dimension is at
-    most 4 (and the element count is small); otherwise at least the basis
-    elements are ranked.  On top of that, `samples` seeded random
+    Exhausts all base-field combinations when q^dim(span) is at most
+    EXHAUSTIVE_SPAN_CAP, as max_rank_reduction does; otherwise at least the
+    basis elements are ranked.  On top of that, `samples` seeded random
     combinations are drawn over GF(q^deg) for every deg = 1..ext_e, and the
     running maximum is returned, so the result is monotone nondecreasing
     in both ext_e and samples by construction.  With a large extension the
@@ -376,7 +373,7 @@ def generic_max_rank(mats, ext_e: int = 1, samples: int = 0, seed: int = 0) -> i
     if dim_l == 0:
         return 0
     best = int(batch_rank(ctx, basis).max())
-    if dim_l <= EXHAUSTIVE_SPAN_DIM and ctx.q ** dim_l <= EXHAUSTIVE_SPAN_CAP:
+    if ctx.q ** dim_l <= EXHAUSTIVE_SPAN_CAP:
         combos = all_vectors(ctx, dim_l)
         best = max(best, int(batch_rank(ctx, field_dot(ctx, combos, basis)).max()))
     if samples > 0:

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .checks import (ALL_CHECKS, PROVEN_CHECKS, RECORDED_CHECKS, RankReport, applicable_checks,
                      check_suite)
-from .errors import InputError, SurveyViolation, json_int
+from .errors import CapExceeded, InputError, SurveyViolation, json_int
 from .forms import MultilinearForm, check_coeff_cap, gen_random
 from .gfq import FieldCtx, digits, field_from_descriptor
 from .ranks import POINT_CAP, SEARCH_CAP
@@ -49,6 +49,13 @@ class SurveyConfig:
             raise InputError("e_max and workers must be >= 1")
         if self.point_cap <= 0 or self.search_cap <= 0:
             raise InputError("caps must be positive")
+        if self.exhaustive:
+            # q^k > cap once 2^k > cap, so a large k is refused before the power is taken
+            size = math.prod(self.dims)
+            total = self.ctx.q ** size if size < self.point_cap.bit_length() else None
+            if total is None or total > self.point_cap:
+                raise CapExceeded(f"an exhaustive survey enumerates {self.ctx.q}^{size} "
+                                  f"forms, cap is {self.point_cap}", size=total)
         if self.checks is not None:
             unknown = set(self.checks) - set(ALL_CHECKS)
             if unknown:

@@ -6,13 +6,15 @@ FieldCtx scalar arithmetic.  That arithmetic is the array arithmetic on one
 element, so it is itself checked against digitwise_add, schoolbook_mul
 and frobenius_trace, which work on digit lists and the modulus alone.
 naive_dot is the scalar-loop reference for the library's one contraction
-kernel, linalg.field_dot.  Three exceptions are former library routes
+kernel, linalg.field_dot.  Four exceptions are former library routes
 kept as faster references: enumerated_zero_set_count, the vectorized
 zero-set enumeration (field_dot and all_vectors), for mid-size counts;
 enumerated_value_histogram, the form's value at every point of the domain,
-for mid-size character sums; and recursive_slice_rank, the per-tuple
+for mid-size character sums; recursive_slice_rank, the per-tuple
 slice-rank search (canonical subspace order, one rref per tuple), which
-pins the first-witness rule.
+pins the first-witness rule; and radical_restriction_vanishes, the
+restriction of C to left kernel x kernel of B, against the pencil checks'
+kernel-image containment.
 """
 
 import itertools
@@ -21,7 +23,8 @@ import numpy as np
 
 from trlab.forms import MultilinearForm, restrict_axis_arr
 from trlab.gfq import FieldCtx
-from trlab.linalg import Matrix, all_vectors, field_dot, kernel_basis, rref, subspace_bases
+from trlab.linalg import (Matrix, all_vectors, field_dot, kernel_basis, left_kernel_basis, rref,
+                          subspace_bases)
 
 
 def _digit_list(ctx: FieldCtx, a: int) -> list[int]:
@@ -266,6 +269,13 @@ def _bilinear_vanishes(ctx, m, b1, b2) -> bool:
             if acc != 0:
                 return False
     return True
+
+
+def radical_restriction_vanishes(b: Matrix, c: Matrix) -> bool:
+    """s_u C s_v^T = 0 for bases s_u of the left kernel and s_v of the kernel
+    of B: C vanishes on left-radical x right-radical of B."""
+    s_u, s_v = left_kernel_basis(b), kernel_basis(b)
+    return not field_dot(b.ctx, field_dot(b.ctx, s_u.basis, c.data), s_v.basis.T).any()
 
 
 def random_invertible(ctx: FieldCtx, n: int, rng) -> Matrix:

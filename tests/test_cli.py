@@ -132,10 +132,12 @@ HUGE_DIMS = ",".join([str(1 << 17)] * 3)  # 2^51 coefficients: refused before al
     (["gen", "random", "--dims", HUGE_DIMS, "--q", "2"], 3),
     (["gen", "rank1", "--dims", HUGE_DIMS, "--q", "2"], 3),
     (["survey", "{huge_config}", "-o", "{csv}"], 3),
+    (["gowers", "{poly7}", "--d", "2"], 3),
+    (["gowers", "{poly10}", "--d", "1"], 3),
 ], ids=["rank-field-e-10000", "pencil-kr-ext-e-20", "gen-q-71-digits", "rank-int-5001-digits",
         "gen-out-missing-dir", "pencil-block-out-missing-dir", "survey-csv-missing-dir",
         "survey-summary-missing-dir", "gen-diagonal-2^51-coeffs", "gen-random-2^51-coeffs",
-        "gen-rank1-2^51-coeffs", "survey-2^51-coeffs"])
+        "gen-rank1-2^51-coeffs", "survey-2^51-coeffs", "gowers-grid-3^14", "gowers-table-3^20"])
 def test_exit_code_refused_without_traceback(tmp_path, args, code):
     # each is refused up front, or at the failing write, with its exit code
     paths = {
@@ -146,6 +148,10 @@ def test_exit_code_refused_without_traceback(tmp_path, args, code):
         "pencil": _write(tmp_path, "p.json", PENCIL),
         "config": _write(tmp_path, "c.json", SURVEY),
         "huge_config": _write(tmp_path, "h.json", {**SURVEY, "dims": [1 << 17] * 3}),
+        "poly7": _write(tmp_path, "q7.json", {**POLY, "n": 7, "terms": [
+            {"exps": [1, 1, 0, 0, 0, 0, 0], "coeff": 1}]}),
+        "poly10": _write(tmp_path, "q10.json", {**POLY, "n": 10, "terms": [
+            {"exps": [1] + [0] * 9, "coeff": 1}]}),
         "csv": str(tmp_path / "out.csv"),
         "missing": str(tmp_path / "missing"),
     }
@@ -234,6 +240,19 @@ def test_gowers_cli(tmp_path):
     assert "PASS" in res.output
     res = runner.invoke(main, ["gowers", poly, "--d", "4"])
     assert res.exit_code == 2  # d >= p refused
+
+
+@pytest.mark.parametrize("poly,degree", [
+    (POLY, "3"),  # d >= p
+    ({"field": {"p": 5, "e": 1}, "n": 1, "terms": [{"exps": [3], "coeff": 1}]}, "2"),
+], ids=["d-at-least-p", "degree-above-d"])
+def test_gowers_cli_refuses_the_regime_before_the_norm(tmp_path, monkeypatch, poly, degree):
+    import trlab.checks as checks_mod
+    calls = []
+    monkeypatch.setattr(checks_mod, "gowers_norm_power", lambda *a, **k: calls.append(a))
+    res = runner.invoke(main, ["gowers", _write(tmp_path, "q.json", poly), "--d", degree])
+    assert res.exit_code == 2
+    assert calls == []
 
 
 def test_survey_violation_exits_one(tmp_path, monkeypatch):

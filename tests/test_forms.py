@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import naive_eval, polarization_value_oracle, random_invertible
-from trlab.errors import InputError
+from trlab.errors import CapExceeded, InputError
 from trlab.forms import (MultilinearForm, PolynomialFn, contract, evaluate,
                          flatten, gen_diagonal, gen_from_matrix, gen_random,
                          gen_rank_one, move_slot_first, polarize, poly_from_obj,
@@ -117,6 +117,12 @@ def test_generators():
     c = gen_random(F3, (2, 2), 124)
     assert np.array_equal(a.coeffs, b.coeffs)
     assert not np.array_equal(a.coeffs, c.coeffs)
+
+
+def test_gen_rank_one_refuses_its_size_before_the_product():
+    # 2^51 coefficients: refused before the first outer product is allocated
+    with pytest.raises(CapExceeded):
+        gen_rank_one(F2, [np.ones(1 << 17, dtype=np.int64)] * 3)
 
 
 def test_rank_one_has_flattening_rank_one():

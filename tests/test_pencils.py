@@ -1,14 +1,19 @@
 """Kronecker blocks, rank profiles, containment checks, max-rank reduction."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import trlab.pencils as pencils_mod
+from oracles import radical_restriction_vanishes
 from trlab.errors import CapExceeded, InputError
 from trlab.forms import gen_from_matrix
 from trlab.gfq import field_new
-from trlab.linalg import Matrix, Subspace, rank
+from trlab.linalg import Matrix, Subspace, image_basis, kernel_basis, rank
 from trlab.pencils import (Pencil, kernel_image_check, kronecker_block,
                            max_rank_reduction, pencil_from_obj, pencil_to_obj,
                            radical_restriction_check, rank_profile)
@@ -171,6 +176,70 @@ def test_radical_restriction_screen():
         b = Matrix(F2, rng.integers(0, 2, size=(3, 3), dtype=np.int64))
         c = Matrix(F2, rng.integers(0, 2, size=(3, 3), dtype=np.int64))
         assert radical_restriction_check(b, c, ext_e=4).passed
+
+
+PAIR_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]
+
+
+@st.composite
+def _member_pairs(draw):
+    """(a, b): m x n matrices over GF(2), GF(3), GF(4), GF(5) or GF(9), with m
+    and n in 0..4; each is zero, a rank-one outer product or random, and b may
+    also equal a."""
+    ctx = field_new(*draw(st.sampled_from(PAIR_FIELDS)))
+    m, n = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+
+    def vec(k):
+        return np.array(draw(st.lists(st.integers(0, ctx.q - 1), min_size=k, max_size=k)),
+                        dtype=np.int64)
+
+    def member(kind):
+        if kind == "zero":
+            return np.zeros((m, n), dtype=np.int64)
+        if kind == "rank-one":
+            return ctx.mul_arr(vec(m)[:, None], vec(n)[None, :])
+        return vec(m * n).reshape(m, n)
+
+    a = member(draw(st.sampled_from(["zero", "rank-one", "random"])))
+    kind_b = draw(st.sampled_from(["zero", "rank-one", "random", "equal"]))
+    b = a if kind_b == "equal" else member(kind_b)
+    return Matrix(ctx, a), Matrix(ctx, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=_member_pairs())
+def test_containment_matches_the_radical_oracle(pair):
+    # B(ker A) <= im A exactly when B vanishes on left kernel x kernel of A
+    a, b = pair
+    want = radical_restriction_vanishes(a, b)
+    ki = kernel_image_check(Pencil(a, b), ext_e=2)
+    rr = radical_restriction_check(a, b, ext_e=2)
+    assert ki.conclusion == rr.conclusion == want
+    assert rr.hypothesis == ki.affine_hypothesis_ext
+    assert rr.passed == ((not rr.hypothesis) or want)
+    assert rr.rank_b == ki.rank_a == rank(a)
+
+    # every candidate max_rank_reduction tries: ker M, and im M exactly when
+    # the span maps ker M into im M, byte for byte the image_basis of M
+    calls, real = [], pencils_mod._kernel_image
+
+    def recording(field, m, mats):
+        out = real(field, m, mats)
+        calls.append((field, m, mats, out))
+        return out
+
+    with mock.patch.object(pencils_mod, "_kernel_image", recording):
+        rep = max_rank_reduction([a, b], ext_e=2, samples=8, seed=0)
+    for field, m, mats, (w, v) in calls:
+        witness = Matrix(field, m)
+        assert w == kernel_basis(witness)
+        im = image_basis(witness)
+        absorbed = all(im.contains_vectors(Matrix(field, l).mat_vec(w.basis.T).T)
+                       for l in mats)
+        assert (v is not None) == absorbed
+        assert v is None or v == im
+    if rep.success and calls:
+        assert (rep.kernel, rep.image) == calls[-1][3]
 
 
 def test_max_rank_reduction_single_matrix():

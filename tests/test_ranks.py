@@ -16,6 +16,7 @@ from trlab.forms import (MultilinearForm, gen_diagonal, gen_from_matrix,
                          gen_random, gen_rank_one)
 from trlab.gfq import field_new
 from trlab.linalg import Matrix, all_vectors, gaussian_binomial, rank, rref, subspace_bases
+from trlab.pencils import max_rank_reduction
 from trlab.ranks import (analytic_rank_charsum, analytic_rank_count,
                          codim_estimate, generic_max_rank, schmidt_rank,
                          slice_rank_exact, subspace_rank_exact, zero_set_count)
@@ -694,6 +695,19 @@ def test_generic_max_rank_monotone():
         assert vals_e == sorted(vals_e)
         vals_s = [generic_max_rank(mats, ext_e=4, samples=s, seed=seed) for s in (0, 4, 16, 64)]
         assert vals_s == sorted(vals_s)
+
+
+def test_span_exhausted_by_one_rule():
+    # {E11, ..., E55} over F2: 2^5 members, the identity among them; the
+    # span dimension no longer decides whether they are all ranked
+    units = []
+    for i in range(5):
+        m = np.zeros((5, 5), dtype=np.int64)
+        m[i, i] = 1
+        units.append(Matrix(F2, m))
+    assert generic_max_rank(units) == 5
+    assert generic_max_rank(units, ext_e=2, samples=4) == 5
+    assert max_rank_reduction(units).max_rank == 5
 
 
 # -- codimension estimator -------------------------------------------------------------

@@ -182,6 +182,29 @@ def test_survey_opens_the_summary_before_any_instance(tmp_path, monkeypatch):
     assert next(calls) == 0
 
 
+def test_exhaustive_survey_refused_past_the_point_cap(tmp_path, monkeypatch):
+    # 2^64 forms over F2 at 4x4x4: refused before any form is checked
+    calls = itertools.count()
+
+    def counted(p, **kw):
+        next(calls)
+        raise AssertionError("a form of an oversized exhaustive survey was checked")
+
+    monkeypatch.setattr(survey_mod, "check_suite", counted)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"field": {"p": 2, "e": 1}, "dims": [4, 4, 4],
+                               "exhaustive": True}))
+    res = CliRunner().invoke(main, ["survey", str(cfg), "-o", str(tmp_path / "s.csv")])
+    assert res.exit_code == 3
+    assert next(calls) == 0
+    # the bound is the survey's own point cap: 2^8 forms at 2x2x2
+    _cfg(exhaustive=True, count=0, point_cap=256)
+    with pytest.raises(CapExceeded):
+        _cfg(exhaustive=True, count=0, point_cap=255)
+    with pytest.raises(CapExceeded):
+        _cfg(dims=(10 ** 6, 1), exhaustive=True, count=0)
+
+
 def test_survey_huge_e_max_is_the_depth_cap(tmp_path):
     # F3 2x2x2: (3^e)^4 passes the heuristic point cap for e <= 3 only
     outs = []
