@@ -181,6 +181,22 @@ def check_suite(p: MultilinearForm, e_max: int = 3,
 
 # -- uniformity-norm identity ---------------------------------------------------
 
+def _norm_size(q: PolynomialFn, d: int, cap: int) -> tuple[int, int]:
+    """(points, tuples) of the U_d norm of psi(Q), refused with CapExceeded
+    when the tuples pass `cap` or the per-x grid or the addition table
+    passes GRID_BUDGET cells, before anything is evaluated or allocated."""
+    npts = q.ctx.p ** q.n
+    # npts^k > cap once 2^k > cap (npts >= 2): a large d is refused before the power
+    total = npts ** (d + 1) if npts == 1 or d < cap.bit_length() else None
+    if total is None or total > cap:
+        raise CapExceeded(f"norm needs {npts}^{d + 1} tuples, cap is {cap}", size=total)
+    cells = max(npts ** d, npts * npts)  # the per-x grid, and the addition table
+    if cells > GRID_BUDGET:
+        raise CapExceeded(f"norm needs a grid of {cells} cells, budget is {GRID_BUDGET}",
+                          size=cells)
+    return npts, total
+
+
 def gowers_norm_power(q: PolynomialFn, d: int, cap: int = POINT_CAP) -> float:
     """2^d-th power of the U_d norm of psi(Q), by brute-force differencing.
 
@@ -189,20 +205,14 @@ def gowers_norm_power(q: PolynomialFn, d: int, cap: int = POINT_CAP) -> float:
     normalizes by |V|^(d+1).
     """
     p, n = q.ctx.p, q.n
-    npts = p ** n
-    total = npts ** (d + 1)
-    if total > cap:
-        raise CapExceeded(f"norm needs {total} tuples, cap is {cap}", size=total)
-    cells = max(npts ** d, npts * npts * n)  # the per-x grid, and the addition table
-    if cells > GRID_BUDGET:
-        raise CapExceeded(f"norm needs a grid of {cells} cells, budget is {GRID_BUDGET}",
-                          size=cells)
+    npts, total = _norm_size(q, d, cap)
     fvals = q.ctx.char_table(1)[q.evaluate_all()]
     # vector addition table on encoded points
     pts = np.arange(npts, dtype=np.int64)
     coords = digits(pts, p, n)
-    pw = np.array([p ** j for j in range(n)], dtype=np.int64)
-    vadd = ((coords[:, None, :] + coords[None, :, :]) % p) @ pw
+    vadd = np.zeros((npts, npts), dtype=np.int64)
+    for j in range(n):  # digit by digit, so no (npts, npts, n) temporary exists
+        vadd += (coords[:, None, j] + coords[None, :, j]) % p * p ** j
     axes = [pts.reshape((1,) * i + (npts,) + (1,) * (d - 1 - i)) for i in range(d)]
     total_sum = 0.0 + 0.0j
     for x in range(npts):
@@ -232,6 +242,7 @@ def gowers_bias_identity(q: PolynomialFn, d: int, cap: int = POINT_CAP) -> Check
     differencing of f values on the left, coefficient extraction plus an
     exact value histogram on the right.
     """
+    _norm_size(q, d, cap)  # before polarize evaluates Q at every point
     form = polarize(q, d)  # refuses d >= p or a degree above d before the norm runs
     left = gowers_norm_power(q, d, cap=cap)
     right = multilinear_bias(form, cap=cap)

@@ -207,7 +207,7 @@ def max_rank_reduction(mats, ext_e: int = 4, samples: int = 50, seed: int = 0) -
         zero = Subspace.zero(ctx, shape[0])
         return MaxRankReduction(True, 0, full, zero, False, 1, 1, 0)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-    if ctx.q ** dim_l <= EXHAUSTIVE_SPAN_CAP:
+    if dim_l < EXHAUSTIVE_SPAN_CAP.bit_length() and ctx.q ** dim_l <= EXHAUSTIVE_SPAN_CAP:
         base_coeffs = all_vectors(ctx, dim_l)
     else:
         base_coeffs = np.vstack([np.eye(dim_l, dtype=np.int64),

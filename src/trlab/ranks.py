@@ -373,7 +373,7 @@ def generic_max_rank(mats, ext_e: int = 1, samples: int = 0, seed: int = 0) -> i
     if dim_l == 0:
         return 0
     best = int(batch_rank(ctx, basis).max())
-    if ctx.q ** dim_l <= EXHAUSTIVE_SPAN_CAP:
+    if dim_l < EXHAUSTIVE_SPAN_CAP.bit_length() and ctx.q ** dim_l <= EXHAUSTIVE_SPAN_CAP:
         combos = all_vectors(ctx, dim_l)
         best = max(best, int(batch_rank(ctx, field_dot(ctx, combos, basis)).max()))
     if samples > 0:

@@ -188,6 +188,25 @@ def test_gowers_regime_refusals():
         gowers_norm_power(PolynomialFn(F5, 3, (((1, 1, 1), 1),)), 3, cap=10)
 
 
+class _Evaluated(Exception):
+    pass
+
+
+def test_gowers_sizes_decided_before_any_evaluation(monkeypatch):
+    def evaluated(self):
+        raise _Evaluated
+    monkeypatch.setattr(PolynomialFn, "evaluate_all", evaluated)
+    # F3 at n = 20, d = 2: 3^60 tuples, refused before Q is evaluated at 3^20 points
+    with pytest.raises(CapExceeded):
+        gowers_bias_identity(PolynomialFn(F3, 20, (((1, 1) + (0,) * 18, 1),)), 2)
+    # a huge d is refused before 3^(d + 1) is taken
+    with pytest.raises(CapExceeded):
+        gowers_bias_identity(PolynomialFn(F3, 1, (((1,), 1),)), 10 ** 18)
+    # F2 at n = 10, d = 2: a 2^20-cell grid and a 2^20-cell addition table fit the budget
+    with pytest.raises(_Evaluated):
+        gowers_norm_power(PolynomialFn(F2, 10, ()), 2)
+
+
 def test_bias_of_polarized_quadratic_is_rank_power():
     # bias of the polarized x1 x2 equals q^(-2): the associated matrix is the
     # antidiagonal, rank 2

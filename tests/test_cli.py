@@ -134,10 +134,12 @@ HUGE_DIMS = ",".join([str(1 << 17)] * 3)  # 2^51 coefficients: refused before al
     (["survey", "{huge_config}", "-o", "{csv}"], 3),
     (["gowers", "{poly7}", "--d", "2"], 3),
     (["gowers", "{poly10}", "--d", "1"], 3),
+    (["gowers", "{poly20}", "--d", "2"], 3),
 ], ids=["rank-field-e-10000", "pencil-kr-ext-e-20", "gen-q-71-digits", "rank-int-5001-digits",
         "gen-out-missing-dir", "pencil-block-out-missing-dir", "survey-csv-missing-dir",
         "survey-summary-missing-dir", "gen-diagonal-2^51-coeffs", "gen-random-2^51-coeffs",
-        "gen-rank1-2^51-coeffs", "survey-2^51-coeffs", "gowers-grid-3^14", "gowers-table-3^20"])
+        "gen-rank1-2^51-coeffs", "survey-2^51-coeffs", "gowers-grid-3^14", "gowers-table-3^20",
+        "gowers-tuples-3^60"])
 def test_exit_code_refused_without_traceback(tmp_path, args, code):
     # each is refused up front, or at the failing write, with its exit code
     paths = {
@@ -152,6 +154,8 @@ def test_exit_code_refused_without_traceback(tmp_path, args, code):
             {"exps": [1, 1, 0, 0, 0, 0, 0], "coeff": 1}]}),
         "poly10": _write(tmp_path, "q10.json", {**POLY, "n": 10, "terms": [
             {"exps": [1] + [0] * 9, "coeff": 1}]}),
+        "poly20": _write(tmp_path, "q20.json", {**POLY, "n": 20, "terms": [
+            {"exps": [1, 1] + [0] * 18, "coeff": 1}]}),
         "csv": str(tmp_path / "out.csv"),
         "missing": str(tmp_path / "missing"),
     }

@@ -205,6 +205,17 @@ def test_exhaustive_survey_refused_past_the_point_cap(tmp_path, monkeypatch):
         _cfg(dims=(10 ** 6, 1), exhaustive=True, count=0)
 
 
+def test_exhaustive_survey_bounded_by_a_lowered_point_cap(tmp_path):
+    # caps.points also bounds the exhaustive form count: 3^8 = 6,561 forms
+    # over F3 at 2x2x2 pass a point cap of 1000, so the survey is refused
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"field": {"p": 3, "e": 1}, "dims": [2, 2, 2],
+                               "exhaustive": True, "caps": {"points": 1000}}))
+    res = CliRunner().invoke(main, ["survey", str(cfg), "-o", str(tmp_path / "s.csv")])
+    assert res.exit_code == 3
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_survey_huge_e_max_is_the_depth_cap(tmp_path):
     # F3 2x2x2: (3^e)^4 passes the heuristic point cap for e <= 3 only
     outs = []
