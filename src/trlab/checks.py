@@ -181,53 +181,41 @@ def check_suite(p: MultilinearForm, e_max: int = 3,
 
 # -- uniformity-norm identity ---------------------------------------------------
 
-def _norm_size(q: PolynomialFn, d: int, cap: int) -> tuple[int, int]:
-    """(points, tuples) of the U_d norm of psi(Q), refused with CapExceeded
-    when the tuples pass `cap` or the per-x grid or the addition table
-    passes GRID_BUDGET cells, before anything is evaluated or allocated."""
+def _norm_size(q: PolynomialFn, d: int, cap: int) -> int:
+    """Points of the domain of psi(Q), after refusing the U_d norm with
+    CapExceeded when its npts^(d+1) tuples pass `cap` or its derivative grid
+    or addition table passes GRID_BUDGET cells, before anything is evaluated
+    or allocated."""
     npts = q.ctx.p ** q.n
     # npts^k > cap once 2^k > cap (npts >= 2): a large d is refused before the power
-    total = npts ** (d + 1) if npts == 1 or d < cap.bit_length() else None
+    total = npts ** (d + 1) if d < cap.bit_length() else None
     if total is None or total > cap:
         raise CapExceeded(f"norm needs {npts}^{d + 1} tuples, cap is {cap}", size=total)
-    cells = max(npts ** d, npts * npts)  # the per-x grid, and the addition table
+    cells = max(npts ** d, npts * npts)  # the derivative grid, and the addition table
     if cells > GRID_BUDGET:
         raise CapExceeded(f"norm needs a grid of {cells} cells, budget is {GRID_BUDGET}",
                           size=cells)
-    return npts, total
+    return npts
 
 
 def gowers_norm_power(q: PolynomialFn, d: int, cap: int = POINT_CAP) -> float:
-    """2^d-th power of the U_d norm of psi(Q), by brute-force differencing.
+    """2^d-th power of the U_d norm of psi(Q), by iterated differencing.
 
-    Sums the d-fold multiplicative derivative of f = psi(Q) over all
-    (x, h_1..h_d), purely from f values (no algebraic shortcut), and
-    normalizes by |V|^(d+1).
+    ||f||_{U_d}^{2^d} = E_{h_1..h_{d-1}} |E_x D_{h_1}..D_{h_{d-1}} f(x)|^2
+    with D_h g(x) = g(x + h) conj(g(x)), since E_{x,h} D_h g(x) = |E_x g|^2
+    for every g.  Computed purely from f = psi(Q) values (no algebraic
+    shortcut), one row of g per prefix (h_1..h_k).
     """
     p, n = q.ctx.p, q.n
-    npts, total = _norm_size(q, d, cap)
-    fvals = q.ctx.char_table(1)[q.evaluate_all()]
-    # vector addition table on encoded points
-    pts = np.arange(npts, dtype=np.int64)
-    coords = digits(pts, p, n)
-    vadd = np.zeros((npts, npts), dtype=np.int64)
+    npts = _norm_size(q, d, cap)
+    g = q.ctx.char_table(1)[q.evaluate_all()][None]
+    coords = digits(np.arange(npts, dtype=np.int64), p, n)
+    vadd = np.zeros((npts, npts), dtype=np.int64)  # vector addition on encoded points
     for j in range(n):  # digit by digit, so no (npts, npts, n) temporary exists
         vadd += (coords[:, None, j] + coords[None, :, j]) % p * p ** j
-    axes = [pts.reshape((1,) * i + (npts,) + (1,) * (d - 1 - i)) for i in range(d)]
-    total_sum = 0.0 + 0.0j
-    for x in range(npts):
-        acc = np.ones((npts,) * d, dtype=np.complex128)
-        for s in range(1 << d):
-            idx = np.int64(x)
-            for i in range(d):
-                if s >> i & 1:
-                    idx = vadd[idx, axes[i]]
-            f = fvals[idx]
-            if (d - bin(s).count("1")) % 2:
-                f = np.conj(f)
-            acc = acc * f
-        total_sum += acc.sum()
-    return float((total_sum / total).real)
+    for _ in range(d - 1):  # vadd is symmetric: row h, column x holds x + h
+        g = (g[:, vadd] * np.conj(g)[:, None, :]).reshape(-1, npts)
+    return float(np.mean(np.abs(g.mean(axis=1)) ** 2))
 
 
 def multilinear_bias(p: MultilinearForm, cap: int = POINT_CAP) -> float:

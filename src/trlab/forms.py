@@ -250,21 +250,14 @@ def polarize(q: PolynomialFn, d: int) -> MultilinearForm:
     if d >= p:
         raise InputError(f"polarization requires degree < characteristic ({d} >= {p})")
     vals = q.evaluate_all()
-    pw = np.array([p ** j for j in range(n)], dtype=np.int64)
+    # every digit of sum_{i in S} e_{idx[i]} is at most d < p, so the code of
+    # that point is the plain sum of the p^{idx[i]}
+    pw = p ** np.indices((n,) * d, dtype=np.int64)
     coeffs = np.zeros((n,) * d, dtype=np.int64)
-    subsets = [(s, bin(s).count("1")) for s in range(1 << d)]
-    for idx in np.ndindex(*(n,) * d):
-        acc = 0
-        for s, size in subsets:
-            counts = np.zeros(n, dtype=np.int64)
-            for pos in range(d):
-                if s >> pos & 1:
-                    counts[idx[pos]] += 1
-            point = int(((counts % p) @ pw))
-            sign = -1 if (d - size) % 2 else 1
-            acc += sign * int(vals[point])
-        coeffs[idx] = acc % p
-    return MultilinearForm(q.ctx, coeffs)
+    for s in range(1 << d):
+        point = sum((pw[i] for i in range(d) if s >> i & 1), np.zeros_like(coeffs))
+        coeffs += (-1) ** (d - bin(s).count("1")) * vals[point]
+    return MultilinearForm(q.ctx, coeffs % p)
 
 
 # -- serialization -----------------------------------------------------------

@@ -152,18 +152,7 @@ def _poly_gcd(a, b, p):
 
 def _is_irreducible(coeffs, p: int) -> bool:
     e = len(coeffs) - 1
-    if e == 1:
-        return True
-    if coeffs[0] == 0:  # divisible by x
-        return False
-    if e <= 3:
-        # degree 2 or 3: irreducible iff no roots in GF(p)
-        for x in range(p):
-            acc = 0
-            for c in reversed(coeffs):
-                acc = (acc * x + c) % p
-            if acc == 0:
-                return False
+    if e == 1:  # Rabin's test below compares with an unreduced x
         return True
     # Rabin's irreducibility test
     mod = list(coeffs)

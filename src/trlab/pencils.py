@@ -194,12 +194,15 @@ def max_rank_reduction(mats, ext_e: int = 4, samples: int = 50, seed: int = 0) -
     the whole span.
 
     Base-field elements are enumerated exhaustively when q^dim(span) is at
-    most 10^5, otherwise sampled; `samples` extra combinations are drawn
-    over GF(q^ext_e).  Verification prefers base-field witnesses; only when
-    every maximal-rank base element fails is the extension consulted.
+    most EXHAUSTIVE_SPAN_CAP, otherwise sampled; `samples` extra combinations
+    are drawn over GF(q^ext_e), and more than EXHAUSTIVE_SPAN_CAP of them are
+    refused before any draw.  Verification prefers base-field witnesses; only
+    when every maximal-rank base element fails is the extension consulted.
     """
     if ext_e < 1:
         raise InputError(f"extension degree must be >= 1, got {ext_e}")
+    if samples > EXHAUSTIVE_SPAN_CAP:  # never rank more members than exhausting may
+        raise CapExceeded(f"{samples} samples, cap is {EXHAUSTIVE_SPAN_CAP}", size=samples)
     ctx, shape, basis = span_basis(mats)
     dim_l = basis.shape[0]
     if dim_l == 0:

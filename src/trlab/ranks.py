@@ -126,9 +126,12 @@ def _value_histogram(p: MultilinearForm) -> np.ndarray:
 def character_sum(p: MultilinearForm, j: int = 1, cap: int = POINT_CAP) -> complex:
     """Normalized sum of psi_j(P(x)) over the whole domain, exactly from the
     histogram of the form's values."""
-    total = p.ctx.q ** sum(p.dims)
-    if total > cap:
-        raise CapExceeded(f"character sum needs {total} points, cap is {cap}", size=total)
+    k = sum(p.dims)
+    # q^k >= 2^k > cap once k passes the cap's bit length: refused before the power
+    total = p.ctx.q ** k if k <= cap.bit_length() else None
+    if total is None or total > cap:
+        raise CapExceeded(f"character sum needs {p.ctx.q}^{k} points, cap is {cap}",
+                          size=total)
     return complex(_value_histogram(p) @ p.ctx.char_table(j)) / total
 
 
@@ -151,12 +154,14 @@ def zero_set_count(p: MultilinearForm, ext_e: int = 1, cap: int = POINT_CAP) -> 
         raise InputError(f"extension degree must be >= 1, got {ext_e}")
     dims = p.dims
     ambient = sum(dims[1:])
-    big_q = p.ctx.q ** ext_e
-    n_mats = big_q ** sum(dims[1:-1])
-    if n_mats > cap:
-        raise CapExceeded(f"zero-set count needs {n_mats} matrix ranks, cap is {cap}",
+    k = ext_e * sum(dims[1:-1])
+    # q^k >= 2^k > cap once k passes the cap's bit length: refused before the power
+    n_mats = p.ctx.q ** k if k <= cap.bit_length() else None
+    if n_mats is None or n_mats > cap:
+        raise CapExceeded(f"zero-set count needs {p.ctx.q}^{k} matrix ranks, cap is {cap}",
                           size=n_mats)
     ext, emb = p.ctx.extension(ext_e)
+    big_q = ext.q
     coeffs = emb[p.coeffs]
     if p.d == 1:
         return ZeroSetCount(1 if not coeffs.any() else 0, ext_e, 0)
@@ -361,13 +366,16 @@ def generic_max_rank(mats, ext_e: int = 1, samples: int = 0, seed: int = 0) -> i
     basis elements are ranked.  On top of that, `samples` seeded random
     combinations are drawn over GF(q^deg) for every deg = 1..ext_e, and the
     running maximum is returned, so the result is monotone nondecreasing
-    in both ext_e and samples by construction.  With a large extension the
+    in both ext_e and samples by construction; more than
+    EXHAUSTIVE_SPAN_CAP samples are refused before any draw.  With a large extension the
     result is the algebraic-closure value up to a per-sample failure
     probability of about (rank degeneracy degree) / q^deg; this is a
     heuristic, not a certificate.
     """
     if ext_e < 1:
         raise InputError(f"extension degree must be >= 1, got {ext_e}")
+    if samples > EXHAUSTIVE_SPAN_CAP:  # never rank more members than exhausting may
+        raise CapExceeded(f"{samples} samples, cap is {EXHAUSTIVE_SPAN_CAP}", size=samples)
     ctx, _, basis = span_basis(mats)
     dim_l = basis.shape[0]
     if dim_l == 0:

@@ -6,15 +6,17 @@ FieldCtx scalar arithmetic.  That arithmetic is the array arithmetic on one
 element, so it is itself checked against digitwise_add, schoolbook_mul
 and frobenius_trace, which work on digit lists and the modulus alone.
 naive_dot is the scalar-loop reference for the library's one contraction
-kernel, linalg.field_dot.  Four exceptions are former library routes
+kernel, linalg.field_dot.  Five exceptions are former library routes
 kept as faster references: enumerated_zero_set_count, the vectorized
 zero-set enumeration (field_dot and all_vectors), for mid-size counts;
 enumerated_value_histogram, the form's value at every point of the domain,
 for mid-size character sums; recursive_slice_rank, the per-tuple
 slice-rank search (canonical subspace order, one rref per tuple), which
-pins the first-witness rule; and radical_restriction_vanishes, the
+pins the first-witness rule; radical_restriction_vanishes, the
 restriction of C to left kernel x kernel of B, against the pencil checks'
-kernel-image containment.
+kernel-image containment; and gowers_norm_power_oracle, the U_d norm from
+its defining average over all (x, h_1..h_d), against the library's
+iterated-derivative route.
 """
 
 import itertools
@@ -22,7 +24,7 @@ import itertools
 import numpy as np
 
 from trlab.forms import MultilinearForm, restrict_axis_arr
-from trlab.gfq import FieldCtx
+from trlab.gfq import FieldCtx, digits
 from trlab.linalg import (Matrix, all_vectors, field_dot, kernel_basis, left_kernel_basis, rref,
                           subspace_bases)
 
@@ -285,6 +287,23 @@ def random_invertible(ctx: FieldCtx, n: int, rng) -> Matrix:
             return m
 
 
+def is_irreducible_oracle(coeffs, p: int) -> bool:
+    """Trial division: a monic polynomial of degree e >= 1 (coefficients
+    lowest degree first) is irreducible iff no monic polynomial of degree
+    1..e//2 divides it."""
+    e = len(coeffs) - 1
+    for k in range(1, e // 2 + 1):
+        for low in itertools.product(range(p), repeat=k):
+            div, rem = list(low) + [1], list(coeffs)
+            for top in range(e, k - 1, -1):  # clear rem[top] by a shifted monic div
+                f = rem[top]
+                for i in range(k + 1):
+                    rem[top - k + i] = (rem[top - k + i] - f * div[i]) % p
+            if not any(rem[:k]):
+                return False
+    return True
+
+
 def polarization_value_oracle(q, hs) -> int:
     """Alternating-subset-sum value of the polarized form at given vectors."""
     p = q.ctx.p
@@ -304,3 +323,35 @@ def polarization_value_oracle(q, hs) -> int:
         else:
             acc += val
     return acc % p
+
+
+def gowers_norm_power_oracle(q, d: int) -> float:
+    """2^d-th power of the U_d norm of psi(Q) from the defining average: the
+    d-fold multiplicative derivative of f = psi(Q) summed over every
+    (x, h_1..h_d), one x at a time over all 2^d subsets with their conjugation
+    parity, normalized by |V|^(d+1).  No size cap; keep the inputs small."""
+    p, n = q.ctx.p, q.n
+    npts = p ** n
+    total = npts ** (d + 1)
+    fvals = q.ctx.char_table(1)[q.evaluate_all()]
+    # vector addition table on encoded points
+    pts = np.arange(npts, dtype=np.int64)
+    coords = digits(pts, p, n)
+    vadd = np.zeros((npts, npts), dtype=np.int64)
+    for j in range(n):
+        vadd += (coords[:, None, j] + coords[None, :, j]) % p * p ** j
+    axes = [pts.reshape((1,) * i + (npts,) + (1,) * (d - 1 - i)) for i in range(d)]
+    total_sum = 0.0 + 0.0j
+    for x in range(npts):
+        acc = np.ones((npts,) * d, dtype=np.complex128)
+        for s in range(1 << d):
+            idx = np.int64(x)
+            for i in range(d):
+                if s >> i & 1:
+                    idx = vadd[idx, axes[i]]
+            f = fvals[idx]
+            if (d - bin(s).count("1")) % 2:
+                f = np.conj(f)
+            acc = acc * f
+        total_sum += acc.sum()
+    return float((total_sum / total).real)

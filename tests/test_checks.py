@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import gowers_norm_power_oracle
 from trlab.checks import (applicable_checks, check_suite, gowers_bias_identity,
                           gowers_norm_power, multilinear_bias, suite_constants)
 from trlab.errors import CapExceeded, InputError
@@ -17,6 +20,7 @@ from trlab.linalg import Matrix
 F2 = field_new(2, 1)
 F3 = field_new(3, 1)
 F5 = field_new(5, 1)
+F7 = field_new(7, 1)
 
 
 def test_suite_zero_trilinear_all_pass():
@@ -139,11 +143,17 @@ def test_gowers_product_quadratic_value():
 
 
 def test_gowers_cubic_monomial():
-    # x1^2 x2: the three-variable diagonal cubic needs 5^12 tuples, over
-    # any sane budget, so the cubic regime is exercised at n = 2
     q = PolynomialFn(F5, 2, (((2, 1), 1),))
     o = gowers_bias_identity(q, 3)
     assert o.passed
+
+
+def test_gowers_cubic_three_variables():
+    # the diagonal cubic x1^3 + x2^3 + x3^3 and x1 x2 x3 over F5: 5^12 tuples
+    # and a 5^9-cell derivative grid
+    for terms in ((((3, 0, 0), 1), ((0, 3, 0), 1), ((0, 0, 3), 1)), (((1, 1, 1), 1),)):
+        o = gowers_bias_identity(PolynomialFn(F5, 3, terms), 3)
+        assert o.passed, o
 
 
 def _random_poly(ctx, n, d, rng):
@@ -162,6 +172,31 @@ def _random_poly(ctx, n, d, rng):
         terms.append((tuple(lead), 1))
         q = PolynomialFn(ctx, n, tuple(terms))
     return q
+
+
+# (p, n, d) with d < p whose (p^n)^(d+1) tuples the oracle's x loop
+# sums in well under a second: F5 n = 3 d = 3, F7 n = 3 d = 2 and d = 3 are left out
+NORM_CASES = [(ctx, n, d) for ctx in (F2, F3, F5, F7) for n in (1, 2, 3)
+              for d in range(1, min(ctx.p - 1, 3) + 1) if ctx.p ** (n * (d + 1)) <= 6 * 10 ** 6]
+
+
+@st.composite
+def _any_polynomial(draw):
+    ctx, n, d = draw(st.sampled_from(NORM_CASES))
+    exps = st.tuples(*[st.integers(0, ctx.p - 1)] * n)
+    terms = draw(st.lists(st.tuples(exps, st.integers(0, ctx.p - 1)), max_size=4))
+    return PolynomialFn(ctx, n, tuple(terms)), d
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_any_polynomial())
+@example(case=(PolynomialFn(F3, 2, ()), 2))
+@example(case=(PolynomialFn(F7, 2, ()), 3))
+def test_gowers_norm_matches_the_defining_average(case):
+    # iterated derivatives against the sum over every (x, h_1..h_d); the
+    # identity holds for any f, so the degree is not restricted
+    q, d = case
+    assert gowers_norm_power(q, d) == pytest.approx(gowers_norm_power_oracle(q, d), abs=1e-12)
 
 
 def test_gowers_random_quadratics_f3():

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, JSON flows, exit codes."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -116,6 +117,7 @@ F2_DESC = {"p": 2, "e": 1}
 POLY = {"field": {"p": 3, "e": 1}, "n": 2, "terms": [{"exps": [1, 1], "coeff": 1}]}
 SURVEY = {"field": F2_DESC, "dims": [2, 2], "count": 1}
 PENCIL = {"field": F2_DESC, "rows": 1, "cols": 2, "A": [1, 0], "B": [0, 1]}
+TENSOR_222 = {"field": {"p": 3, "e": 1}, "dims": [2, 2, 2], "coeffs": [1, 0, 0, 1, 0, 1, 1, 2]}
 HUGE_DIMS = ",".join([str(1 << 17)] * 3)  # 2^51 coefficients: refused before allocation
 
 
@@ -135,11 +137,14 @@ HUGE_DIMS = ",".join([str(1 << 17)] * 3)  # 2^51 coefficients: refused before al
     (["gowers", "{poly7}", "--d", "2"], 3),
     (["gowers", "{poly10}", "--d", "1"], 3),
     (["gowers", "{poly20}", "--d", "2"], 3),
+    (["rank", "{tensor222}", "--ext-e", "5000"], 3),
+    (["rank", "{tensor222}", "--ext-e", "100000000"], 3),
+    (["pencil", "prop22", "{pencil}", "--samples", "100000000"], 3),
 ], ids=["rank-field-e-10000", "pencil-kr-ext-e-20", "gen-q-71-digits", "rank-int-5001-digits",
         "gen-out-missing-dir", "pencil-block-out-missing-dir", "survey-csv-missing-dir",
         "survey-summary-missing-dir", "gen-diagonal-2^51-coeffs", "gen-random-2^51-coeffs",
         "gen-rank1-2^51-coeffs", "survey-2^51-coeffs", "gowers-grid-3^14", "gowers-table-3^20",
-        "gowers-tuples-3^60"])
+        "gowers-tuples-3^60", "rank-ext-e-5000", "rank-ext-e-10^8", "prop22-samples-10^8"])
 def test_exit_code_refused_without_traceback(tmp_path, args, code):
     # each is refused up front, or at the failing write, with its exit code
     paths = {
@@ -156,6 +161,7 @@ def test_exit_code_refused_without_traceback(tmp_path, args, code):
             {"exps": [1] + [0] * 9, "coeff": 1}]}),
         "poly20": _write(tmp_path, "q20.json", {**POLY, "n": 20, "terms": [
             {"exps": [1, 1] + [0] * 18, "coeff": 1}]}),
+        "tensor222": _write(tmp_path, "t222.json", TENSOR_222),
         "csv": str(tmp_path / "out.csv"),
         "missing": str(tmp_path / "missing"),
     }
@@ -244,6 +250,18 @@ def test_gowers_cli(tmp_path):
     assert "PASS" in res.output
     res = runner.invoke(main, ["gowers", poly, "--d", "4"])
     assert res.exit_code == 2  # d >= p refused
+
+
+def test_gowers_cli_six_variables_in_time(tmp_path):
+    # F3, n = 6, d = 2: 729 points and a 3^12-cell derivative grid
+    terms = [([1, 1, 0, 0, 0, 0], 1), ([0, 0, 1, 1, 0, 0], 2), ([0, 0, 0, 0, 2, 0], 1),
+             ([0, 0, 0, 0, 1, 1], 1), ([0, 0, 0, 0, 0, 1], 2)]
+    poly = _write(tmp_path, "q.json", {**POLY, "n": 6, "terms": [
+        {"exps": e, "coeff": c} for e, c in terms]})
+    start = time.perf_counter()
+    res = runner.invoke(main, ["gowers", poly, "--d", "2"])
+    assert res.exit_code == 0 and "PASS" in res.output, res.output
+    assert time.perf_counter() - start < 2.0
 
 
 @pytest.mark.parametrize("poly,degree", [

@@ -5,7 +5,9 @@ replaced by a wrong type, a bool, a huge or negative int; a key or entry
 deleted; a value nested one level deeper) and run through the CLI.  Every
 run must end in exit 0, 1, 2 or 3 with no exception other than SystemExit.
 Survey `count` and `workers` stay small: a huge count is valid work that
-runs for a long time, not a contract violation.
+runs for a long time, not a contract violation.  The integer options of
+`rank`, `verify`, `pencil profile|kr|prop22` and `gowers` are drawn from
+small, boundary and huge values, on valid and mutated documents alike.
 """
 
 import copy
@@ -21,6 +23,8 @@ from trlab.cli import main
 F2 = {"p": 2, "e": 1}
 DOCS = {
     "tensor": {"field": F2, "dims": [2, 2], "coeffs": [1, 0, 1, 1]},
+    "tensor222": {"field": {"p": 3, "e": 1}, "dims": [2, 2, 2],
+                  "coeffs": [1, 0, 0, 1, 0, 1, 1, 2]},
     "pencil": {"field": F2, "rows": 2, "cols": 2, "A": [1, 0, 0, 0], "B": [0, 1, 1, 0]},
     "poly": {"field": {"p": 3, "e": 1}, "n": 2, "terms": [{"exps": [1, 1], "coeff": 1}]},
     "survey": {"field": F2, "dims": [2, 2], "count": 2, "seed": 1, "e_max": 2,
@@ -30,6 +34,8 @@ DOCS = {
 COMMANDS = [
     ("tensor", ["rank"], []),
     ("tensor", ["verify"], []),
+    ("tensor222", ["rank"], []),
+    ("tensor222", ["verify"], []),
     ("pencil", ["pencil", "profile"], []),
     ("pencil", ["pencil", "kr"], []),
     ("pencil", ["pencil", "prop22"], []),
@@ -37,6 +43,15 @@ COMMANDS = [
     ("survey", ["survey"], ["-o", "{csv}"]),
 ]
 SMALL_KEYS = ("count", "workers")
+INT_OPTIONS = {
+    ("rank",): ("--ext-e", "--slot"),
+    ("verify",): ("--e-max",),
+    ("pencil", "profile"): ("--ext-e",),
+    ("pencil", "kr"): ("--ext-e",),
+    ("pencil", "prop22"): ("--ext-e", "--samples", "--seed"),
+    ("gowers",): ("--d",),
+}
+INT_VALUES = [-1, 0, 1, 2, 5000, 10 ** 8, 2 ** 63]
 
 junk = st.one_of(
     st.booleans(), st.none(), st.integers(-2, 2),
@@ -89,14 +104,25 @@ def _cases(draw):
     return cmd, draw(_mutated(DOCS[kind])), opts
 
 
+@st.composite
+def _option_cases(draw):
+    """A command on a valid or mutated document, with drawn integer options
+    (given after the defaults, so they win)."""
+    kind, cmd, opts = draw(st.sampled_from([c for c in COMMANDS if tuple(c[1]) in INT_OPTIONS]))
+    doc = draw(st.one_of(st.just(DOCS[kind]), _mutated(DOCS[kind])))
+    for opt in INT_OPTIONS[tuple(cmd)]:
+        value = draw(st.none() | st.sampled_from(INT_VALUES))
+        if value is not None:
+            opts = opts + [opt, str(value)]
+    return cmd, doc, opts
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(max_examples=120, deadline=2000, suppress_health_check=[HealthCheck.too_slow])
-@given(case=_cases())
-def test_mutated_documents_keep_the_exit_code_contract(workdir, case):
+def _run(workdir, case):
     cmd, doc, opts = case
     path = workdir / "in.json"
     path.write_text(json.dumps(doc))
@@ -104,3 +130,15 @@ def test_mutated_documents_keep_the_exit_code_contract(workdir, case):
     res = CliRunner().invoke(main, cmd + [str(path)] + [o.format(csv=csv) for o in opts])
     assert res.exit_code in (0, 1, 2, 3), res.output
     assert res.exception is None or isinstance(res.exception, SystemExit), repr(res.exception)
+
+
+@settings(max_examples=120, deadline=2000, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_cases())
+def test_mutated_documents_keep_the_exit_code_contract(workdir, case):
+    _run(workdir, case)
+
+
+@settings(max_examples=100, deadline=2000, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_option_cases())
+def test_integer_options_keep_the_exit_code_contract(workdir, case):
+    _run(workdir, case)

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import naive_eval, polarization_value_oracle, random_invertible
 from trlab.errors import CapExceeded, InputError
@@ -216,6 +218,25 @@ def test_polarize_symmetric_random():
         qt = polarize(q, d)
         for perm in itertools.permutations(range(d)):
             assert np.array_equal(qt.coeffs, np.transpose(qt.coeffs, perm))
+
+
+@st.composite
+def _polarizable(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    n, d = draw(st.integers(1, 3)), draw(st.integers(1, min(p - 1, 4)))
+    exps = st.tuples(*[st.integers(0, min(p - 1, d))] * n).filter(lambda e: sum(e) <= d)
+    terms = draw(st.lists(st.tuples(exps, st.integers(0, p - 1)), max_size=5))
+    return PolynomialFn(field_new(p, 1), n, tuple(terms)), d
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_polarizable())
+def test_polarize_matches_the_oracle_on_every_basis_tuple(case):
+    q, d = case
+    coeffs = polarize(q, d).coeffs
+    basis = np.eye(q.n, dtype=np.int64)
+    for idx in itertools.product(range(q.n), repeat=d):
+        assert coeffs[idx] == polarization_value_oracle(q, [basis[i] for i in idx])
 
 
 def test_polarize_regime_errors():

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import digitwise_add, frobenius_trace, schoolbook_mul
+from oracles import digitwise_add, frobenius_trace, is_irreducible_oracle, schoolbook_mul
 from trlab.errors import CapExceeded, InputError
-from trlab.gfq import (FieldCtx, char_psi, descriptor, digits, field_from_descriptor,
-                       field_from_order, field_new, trace)
+from trlab.gfq import (FieldCtx, _is_irreducible, char_psi, descriptor, digits,
+                       field_from_descriptor, field_from_order, field_new, trace)
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2), (2, 4), (5, 2)]
 
@@ -37,6 +37,15 @@ def test_f9_modulus_found_by_root_test():
         if any((lo + hi * x + x * x) % 3 == 0 for x in range(3)):
             continue
         pytest.fail(f"smaller irreducible encoding {enc} exists")
+
+
+def test_irreducibility_matches_trial_division():
+    # every monic polynomial of degree 2..4 over F2, F3, F5 and F7
+    for p in (2, 3, 5, 7):
+        for e in (2, 3, 4):
+            for low in itertools.product(range(p), repeat=e):
+                cand = (*low, 1)
+                assert _is_irreducible(cand, p) == is_irreducible_oracle(cand, p), (p, cand)
 
 
 def test_non_prime_p_rejected():

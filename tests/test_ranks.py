@@ -15,7 +15,8 @@ from trlab.errors import CapExceeded, InputError
 from trlab.forms import (MultilinearForm, gen_diagonal, gen_from_matrix,
                          gen_random, gen_rank_one)
 from trlab.gfq import field_new
-from trlab.linalg import Matrix, all_vectors, gaussian_binomial, rank, rref, subspace_bases
+from trlab.linalg import (EXHAUSTIVE_SPAN_CAP, Matrix, all_vectors, gaussian_binomial, rank,
+                          rref, subspace_bases)
 from trlab.pencils import max_rank_reduction
 from trlab.ranks import (analytic_rank_charsum, analytic_rank_count,
                          codim_estimate, generic_max_rank, schmidt_rank,
@@ -154,6 +155,17 @@ def test_zero_count_cap_bounds_ranked_matrices():
     assert exc.value.size == (5 ** 9) ** 3
     # a bilinear count is one rank, whatever the field
     assert zero_set_count(gen_random(F3, (3, 4), 2), 2, cap=1).count >= 1
+
+
+def test_point_caps_compare_the_exponent_before_the_power():
+    # (3^(10^8))^2 matrix ranks and 2^14400 points: refused at once, with
+    # no size, instead of taking the power (or printing it: ValueError)
+    with pytest.raises(CapExceeded) as exc:
+        zero_set_count(gen_random(F3, (2, 2, 2), 0), 10 ** 8)
+    assert exc.value.size is None
+    with pytest.raises(CapExceeded) as exc:
+        analytic_rank_charsum(MultilinearForm(F2, np.ones(14400, dtype=np.int64)))
+    assert exc.value.size is None
 
 
 # -- analytic rank --------------------------------------------------------------
@@ -708,6 +720,16 @@ def test_span_exhausted_by_one_rule():
     assert generic_max_rank(units) == 5
     assert generic_max_rank(units, ext_e=2, samples=4) == 5
     assert max_rank_reduction(units).max_rank == 5
+
+
+def test_samples_refused_past_the_span_cap_before_any_draw(monkeypatch):
+    def drawn(*a, **k):
+        raise AssertionError("drew samples")
+    monkeypatch.setattr(np.random, "default_rng", drawn)
+    for fn in (generic_max_rank, max_rank_reduction):
+        with pytest.raises(CapExceeded) as exc:
+            fn([Matrix.identity(F2, 2)], samples=EXHAUSTIVE_SPAN_CAP + 1)
+        assert exc.value.size == EXHAUSTIVE_SPAN_CAP + 1
 
 
 # -- codimension estimator -------------------------------------------------------------
