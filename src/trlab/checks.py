@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapExceeded, InputError
+from .errors import CapExceeded, InputError, capped, within_cap
 from .forms import MultilinearForm, PolynomialFn, polarize
 from .gfq import digits
 from .ranks import (GRID_BUDGET, POINT_CAP, SEARCH_CAP, SchmidtRank,
@@ -151,7 +151,7 @@ def check_suite(p: MultilinearForm, e_max: int = 3,
     heur_cap = min(point_cap, HEURISTIC_POINT_CAP)
     e_eff = 0
     for e in range(1, e_max + 1):  # the sizes grow with e: stop at the first too large
-        if (q ** e) ** z.ambient > heur_cap:
+        if not within_cap(heur_cap, q, e * z.ambient):
             break
         e_eff = e
     est = codim_estimate(p, e_eff, cap=heur_cap, base=z) if e_eff else None
@@ -182,20 +182,13 @@ def check_suite(p: MultilinearForm, e_max: int = 3,
 # -- uniformity-norm identity ---------------------------------------------------
 
 def _norm_size(q: PolynomialFn, d: int, cap: int) -> int:
-    """Points of the domain of psi(Q), after refusing the U_d norm with
-    CapExceeded when its npts^(d+1) tuples pass `cap` or its derivative grid
-    or addition table passes GRID_BUDGET cells, before anything is evaluated
-    or allocated."""
-    npts = q.ctx.p ** q.n
-    # npts^k > cap once 2^k > cap (npts >= 2): a large d is refused before the power
-    total = npts ** (d + 1) if d < cap.bit_length() else None
-    if total is None or total > cap:
-        raise CapExceeded(f"norm needs {npts}^{d + 1} tuples, cap is {cap}", size=total)
-    cells = max(npts ** d, npts * npts)  # the derivative grid, and the addition table
-    if cells > GRID_BUDGET:
-        raise CapExceeded(f"norm needs a grid of {cells} cells, budget is {GRID_BUDGET}",
-                          size=cells)
-    return npts
+    """npts = p^n, after refusing the U_d norm when its npts^(d+1) tuples pass
+    `cap` or its npts^d-cell derivative grid (for d >= 2 no smaller than the
+    addition table) passes GRID_BUDGET, before anything is allocated."""
+    p, n = q.ctx.p, q.n
+    capped("norm tuples", cap, p, n * (d + 1))
+    capped("norm derivative grid cells", GRID_BUDGET, p, n * d)
+    return p ** n
 
 
 def gowers_norm_power(q: PolynomialFn, d: int, cap: int = POINT_CAP) -> float:
@@ -209,10 +202,11 @@ def gowers_norm_power(q: PolynomialFn, d: int, cap: int = POINT_CAP) -> float:
     p, n = q.ctx.p, q.n
     npts = _norm_size(q, d, cap)
     g = q.ctx.char_table(1)[q.evaluate_all()][None]
-    coords = digits(np.arange(npts, dtype=np.int64), p, n)
-    vadd = np.zeros((npts, npts), dtype=np.int64)  # vector addition on encoded points
-    for j in range(n):  # digit by digit, so no (npts, npts, n) temporary exists
-        vadd += (coords[:, None, j] + coords[None, :, j]) % p * p ** j
+    if d >= 2:  # d = 1 is |E_x f|^2 and reads no sums of points
+        coords = digits(np.arange(npts, dtype=np.int64), p, n)
+        vadd = np.zeros((npts, npts), dtype=np.int64)  # vector addition on encoded points
+        for j in range(n):  # digit by digit, so no (npts, npts, n) temporary exists
+            vadd += (coords[:, None, j] + coords[None, :, j]) % p * p ** j
     for _ in range(d - 1):  # vadd is symmetric: row h, column x holds x + h
         g = (g[:, vadd] * np.conj(g)[:, None, :]).reshape(-1, npts)
     return float(np.mean(np.abs(g.mean(axis=1)) ** 2))

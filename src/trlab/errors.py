@@ -34,6 +34,28 @@ class CapExceeded(LabError):
         self.size = size
 
 
+def _power(cap: int, base: int, k: int):
+    """base^k, or None once k passes the cap's bit length, where base >= 2
+    gives base^k >= 2^k > cap without taking the power (k = 1 is base)."""
+    return base ** k if k <= max(cap.bit_length(), 1) else None
+
+
+def within_cap(cap: int, base: int, k: int = 1) -> bool:
+    """base^k <= cap, by the rule of `capped`."""
+    size = _power(cap, base, k)
+    return size is not None and size <= cap
+
+
+def capped(what: str, cap: int, base: int, k: int = 1) -> int:
+    """base^k, or CapExceeded stating the size of `what` (None past the
+    cap's bit length), before anything of that size is built."""
+    size = _power(cap, base, k)
+    if size is None or size > cap:
+        shown = base if k == 1 else f"{base}^{k}"
+        raise CapExceeded(f"{what}: {shown}, cap is {cap}", size=size)
+    return size
+
+
 class SurveyViolation(LabError):
     """A proven inequality failed on a survey instance (an implementation bug)."""
 

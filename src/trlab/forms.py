@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, InputError, json_int
+from .errors import InputError, capped, json_int
 from .gfq import FieldCtx, descriptor, digits, field_from_descriptor
 from .linalg import Matrix, Subspace, field_dot
 
@@ -21,9 +21,7 @@ COEFF_CAP = 10 ** 7  # dense storage bound on prod(dims)
 
 def check_coeff_cap(dims) -> None:
     """Refuse dense coefficients of these dims above COEFF_CAP, before allocating them."""
-    size = math.prod(dims)
-    if size > COEFF_CAP:
-        raise CapExceeded(f"coefficient tensor of size {size} exceeds {COEFF_CAP}", size=size)
+    capped("coefficient tensor size", COEFF_CAP, math.prod(dims))
 
 
 class MultilinearForm:
@@ -220,9 +218,9 @@ class PolynomialFn:
         return acc
 
     def evaluate_all(self) -> np.ndarray:
-        """Values on all p^n points, indexed by base-p encoding of the point."""
+        """Values on all p^n <= COEFF_CAP points, by base-p encoding of the point."""
         p, n = self.ctx.p, self.n
-        npts = p ** n
+        npts = capped("polynomial table points", COEFF_CAP, p, n)
         coords = digits(np.arange(npts), p, n)
         out = np.zeros(npts, dtype=np.int64)
         for exps, coeff in self.terms:
@@ -250,6 +248,7 @@ def polarize(q: PolynomialFn, d: int) -> MultilinearForm:
     if d >= p:
         raise InputError(f"polarization requires degree < characteristic ({d} >= {p})")
     vals = q.evaluate_all()
+    check_coeff_cap((n,) * d)  # before the (d, n, ..., n) index grid
     # every digit of sum_{i in S} e_{idx[i]} is at most d < p, so the code of
     # that point is the plain sum of the p^{idx[i]}
     pw = p ** np.indices((n,) * d, dtype=np.int64)

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .errors import CapExceeded, InputError, json_int
+from .errors import InputError, capped, json_int
 
 SIZE_CAP = 1 << 20       # largest field order the lab will construct
 FULL_TABLE_MAX = 1 << 10  # dense q x q multiplication table up to this order
@@ -44,31 +44,6 @@ def digits(x, base: int, n: int) -> np.ndarray:
         out[..., j] = t % base
         t //= base
     return out
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    for f in small:
-        if n % f == 0:
-            return n == f
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    # deterministic Miller-Rabin witnesses, valid far beyond the size cap
-    for a in small:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -196,13 +171,9 @@ class FieldCtx:
             raise InputError("p and e must be integers")
         if e < 1:
             raise InputError(f"extension degree must be >= 1, got {e}")
-        # p^e > SIZE_CAP for every p >= 2 once 2^e does, so a large e is
-        # refused before the power is taken, and a large p before its
-        # primality test
-        q = p ** e if e < SIZE_CAP.bit_length() else None
-        if p >= 2 and (q is None or q > SIZE_CAP):
-            raise CapExceeded(f"field order {p}^{e} exceeds size cap {SIZE_CAP}", size=q)
-        if not _is_prime(p):
+        if p >= 2:  # capped before factoring: trial division then stops at 2^10
+            q = capped("field order", SIZE_CAP, p, e)
+        if p < 2 or _prime_factors(p) != [p]:
             raise InputError(f"{p} is not prime")
         self.p = p
         self.e = e
@@ -444,8 +415,7 @@ def field_from_order(q: int) -> FieldCtx:
     """Context for GF(q) from a prime-power order."""
     if q < 2:
         raise InputError(f"field order must be >= 2, got {q}")
-    if q > SIZE_CAP:  # before factoring q by trial division
-        raise CapExceeded(f"field order {q} exceeds size cap {SIZE_CAP}", size=q)
+    capped("field order", SIZE_CAP, q)  # before factoring q by trial division
     facs = _prime_factors(q)
     if len(facs) != 1:
         raise InputError(f"{q} is not a prime power")

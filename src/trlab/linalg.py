@@ -10,11 +10,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import CapExceeded, InputError
+from .errors import InputError, capped, within_cap
 from .gfq import FieldCtx, digits
 
 SUBSPACE_CAP = 10 ** 7  # default refusal bound on enumerated subspace counts
@@ -112,6 +112,12 @@ def all_vectors(ctx: FieldCtx, n: int, start: int = 0, stop: int | None = None) 
     if stop is None:
         stop = ctx.q ** n
     return digits(np.arange(start, stop), ctx.q, n)
+
+
+def span_coefficients(ctx: FieldCtx, dim: int) -> Optional[np.ndarray]:
+    """Every coefficient vector of GF(q)^dim, one per member of a span of that
+    dimension, when q^dim is at most EXHAUSTIVE_SPAN_CAP; None otherwise."""
+    return all_vectors(ctx, dim) if within_cap(EXHAUSTIVE_SPAN_CAP, ctx.q, dim) else None
 
 
 def stack_matrices(mats) -> tuple[FieldCtx, np.ndarray]:
@@ -305,11 +311,7 @@ def _subspace_bases_cached(ctx: FieldCtx, n: int, k: int) -> np.ndarray:
 
 def subspace_bases(ctx: FieldCtx, n: int, k: int, cap: int = SUBSPACE_CAP) -> np.ndarray:
     """Cached array of all canonical bases; refuses above the cap."""
-    count = gaussian_binomial(n, k, ctx.q)
-    if count > cap:
-        raise CapExceeded(
-            f"enumerating {count} subspaces of dimension {k} in GF({ctx.q})^{n} "
-            f"exceeds cap {cap}", size=count)
+    capped(f"{k}-dim subspaces of GF({ctx.q})^{n}", cap, gaussian_binomial(n, k, ctx.q))
     return _subspace_bases_cached(ctx, n, k)
 
 

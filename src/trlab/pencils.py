@@ -9,10 +9,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapExceeded, InputError, json_int
+from .errors import InputError, capped, json_int
 from .gfq import FieldCtx, descriptor, field_from_descriptor
-from .linalg import (EXHAUSTIVE_SPAN_CAP, Matrix, Subspace, all_vectors, batch_rank,
-                     field_dot, kernel_basis, rref, span_basis)
+from .linalg import (EXHAUSTIVE_SPAN_CAP, Matrix, Subspace, batch_rank, field_dot,
+                     kernel_basis, rref, span_basis, span_coefficients)
 
 PROFILE_CAP = 10 ** 6  # bound on projective points per rank profile
 
@@ -44,17 +44,9 @@ def kronecker_block(ctx: FieldCtx, kind: str, n: int) -> Pencil:
     if n < 0:
         raise InputError(f"block size must be >= 0, got {n}")
     if kind == "Ln":
-        a = np.zeros((n + 1, n), dtype=np.int64)
-        b = np.zeros((n + 1, n), dtype=np.int64)
-        for i in range(n):
-            a[i, i] = 1
-            b[i + 1, i] = 1
+        a, b = np.eye(n + 1, n, dtype=np.int64), np.eye(n + 1, n, -1, dtype=np.int64)
     elif kind == "Ln_transpose":
-        a = np.zeros((n, n + 1), dtype=np.int64)
-        b = np.zeros((n, n + 1), dtype=np.int64)
-        for i in range(n):
-            a[i, i] = 1
-            b[i, i + 1] = 1
+        a, b = np.eye(n, n + 1, dtype=np.int64), np.eye(n, n + 1, 1, dtype=np.int64)
     else:
         raise InputError(f"unknown block kind {kind!r} (want Ln or Ln_transpose)")
     return Pencil(Matrix(ctx, a), Matrix(ctx, b))
@@ -86,12 +78,7 @@ def _line_ranks(pencil: Pencil, ext_e: int, cap: int = PROFILE_CAP):
     under field extension, so ranks[emb] are the ranks over the base field."""
     if ext_e < 1:
         raise InputError(f"extension degree must be >= 1, got {ext_e}")
-    q = pencil.ctx.q
-    # q^k > cap once 2^k > cap, so a large k is refused before the power is taken
-    npts = q ** ext_e + 1 if ext_e < cap.bit_length() else None
-    if npts is None or npts > cap:
-        raise CapExceeded(f"the pencil line needs {q}^{ext_e} + 1 projective points, "
-                          f"cap is {cap}", size=npts)
+    capped("pencil line affine points", cap - 1, pencil.ctx.q, ext_e)  # cap - 1: infinity
     ext, emb = pencil.ctx.extension(ext_e)
     ea, eb = emb[pencil.a.data], emb[pencil.b.data]
     ts = np.arange(ext.q, dtype=np.int64)
@@ -201,8 +188,7 @@ def max_rank_reduction(mats, ext_e: int = 4, samples: int = 50, seed: int = 0) -
     """
     if ext_e < 1:
         raise InputError(f"extension degree must be >= 1, got {ext_e}")
-    if samples > EXHAUSTIVE_SPAN_CAP:  # never rank more members than exhausting may
-        raise CapExceeded(f"{samples} samples, cap is {EXHAUSTIVE_SPAN_CAP}", size=samples)
+    capped("samples", EXHAUSTIVE_SPAN_CAP, samples)  # never more members than exhausting
     ctx, shape, basis = span_basis(mats)
     dim_l = basis.shape[0]
     if dim_l == 0:
@@ -210,9 +196,8 @@ def max_rank_reduction(mats, ext_e: int = 4, samples: int = 50, seed: int = 0) -
         zero = Subspace.zero(ctx, shape[0])
         return MaxRankReduction(True, 0, full, zero, False, 1, 1, 0)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-    if dim_l < EXHAUSTIVE_SPAN_CAP.bit_length() and ctx.q ** dim_l <= EXHAUSTIVE_SPAN_CAP:
-        base_coeffs = all_vectors(ctx, dim_l)
-    else:
+    base_coeffs = span_coefficients(ctx, dim_l)
+    if base_coeffs is None:
         base_coeffs = np.vstack([np.eye(dim_l, dtype=np.int64),
                                  rng.integers(0, ctx.q, size=(samples, dim_l), dtype=np.int64)])
     base_mats = field_dot(ctx, base_coeffs, basis)

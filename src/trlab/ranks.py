@@ -31,12 +31,12 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import CapExceeded, InputError
+from .errors import InputError, capped
 from .forms import MultilinearForm, restrict_axis_arr
 from .gfq import FieldCtx, digits
 from .linalg import (EXHAUSTIVE_SPAN_CAP, Matrix, Subspace, all_vectors, batch_rank,
                      field_dot, gaussian_binomial, kernel_basis, left_kernel_basis, rref,
-                     span_basis, stack_matrices, subspace_bases)
+                     span_basis, span_coefficients, stack_matrices, subspace_bases)
 
 POINT_CAP = 2 ** 34       # refusal bound on enumerated points or ranked matrices
 GRID_BUDGET = 1 << 22     # max grid cells materialized per vectorized step
@@ -126,12 +126,7 @@ def _value_histogram(p: MultilinearForm) -> np.ndarray:
 def character_sum(p: MultilinearForm, j: int = 1, cap: int = POINT_CAP) -> complex:
     """Normalized sum of psi_j(P(x)) over the whole domain, exactly from the
     histogram of the form's values."""
-    k = sum(p.dims)
-    # q^k >= 2^k > cap once k passes the cap's bit length: refused before the power
-    total = p.ctx.q ** k if k <= cap.bit_length() else None
-    if total is None or total > cap:
-        raise CapExceeded(f"character sum needs {p.ctx.q}^{k} points, cap is {cap}",
-                          size=total)
+    total = capped("character-sum points", cap, p.ctx.q, sum(p.dims))
     return complex(_value_histogram(p) @ p.ctx.char_table(j)) / total
 
 
@@ -154,12 +149,7 @@ def zero_set_count(p: MultilinearForm, ext_e: int = 1, cap: int = POINT_CAP) -> 
         raise InputError(f"extension degree must be >= 1, got {ext_e}")
     dims = p.dims
     ambient = sum(dims[1:])
-    k = ext_e * sum(dims[1:-1])
-    # q^k >= 2^k > cap once k passes the cap's bit length: refused before the power
-    n_mats = p.ctx.q ** k if k <= cap.bit_length() else None
-    if n_mats is None or n_mats > cap:
-        raise CapExceeded(f"zero-set count needs {p.ctx.q}^{k} matrix ranks, cap is {cap}",
-                          size=n_mats)
+    capped("zero-set count matrix ranks", cap, p.ctx.q, ext_e * sum(dims[1:-1]))
     ext, emb = p.ctx.extension(ext_e)
     big_q = ext.q
     coeffs = emb[p.coeffs]
@@ -265,23 +255,20 @@ def _greedy_upper(p: MultilinearForm) -> int:
     """Upper bound by repeatedly peeling one slice off the cheapest slot.
 
     At each step the slot with the smallest flattening rank is restricted
-    to a hyperplane that lowers that rank by exactly one; each step costs
-    one slice by the codimension characterization of the slice rank.
+    to the kernel of the last nonzero row of rref(flattening^T), a hyperplane
+    that holds the left kernel and the first r - 1 pivot rows, so it lowers
+    that rank by exactly one; each step costs one slice by the codimension
+    characterization of the slice rank.
     """
     ctx = p.ctx
     t = p.coeffs
     total = 0
     while t.any():
-        flats = [np.moveaxis(t, ax, 0).reshape(t.shape[ax], -1) for ax in range(t.ndim)]
-        rks = [rref(Matrix(ctx, a)).rank for a in flats]
-        ax = int(np.argmin(rks))
-        a = flats[ax]
-        red_t = rref(Matrix(ctx, a.T))
-        pivot_rows = red_t.pivots  # indices of independent rows of a
-        lk = kernel_basis(Matrix(ctx, a.T))
-        keep = np.eye(t.shape[ax], dtype=np.int64)[list(pivot_rows[:-1])]
-        h = Subspace.from_rows(ctx, np.vstack([lk.basis, keep]))
-        assert h.dim == t.shape[ax] - 1
+        reds = [rref(Matrix(ctx, np.moveaxis(t, ax, 0).reshape(t.shape[ax], -1).T))
+                for ax in range(t.ndim)]
+        ax = int(np.argmin([red.rank for red in reds]))
+        red = reds[ax]
+        h = kernel_basis(Matrix(ctx, red.matrix.data[red.rank - 1:red.rank]))
         t = restrict_axis_arr(ctx, t, ax, h.basis)
         total += 1
     return total
@@ -353,8 +340,7 @@ def subspace_rank_exact(mats, cap: int = SEARCH_CAP) -> int:
     lower = int(batch_rank(ctx, stack).max())  # vanishing forces c1 + c2 >= rank(l) for each l
     hit = _deepen(ctx, stack, (0, n1, n2), lower, cap)
     if isinstance(hit, int):
-        raise CapExceeded(f"subspace-rank search needs {hit} rank tests, cap is {cap}",
-                          size=hit)
+        capped("subspace-rank search rank tests", cap, hit)  # hit is past the cap
     return hit[0]
 
 
@@ -374,15 +360,14 @@ def generic_max_rank(mats, ext_e: int = 1, samples: int = 0, seed: int = 0) -> i
     """
     if ext_e < 1:
         raise InputError(f"extension degree must be >= 1, got {ext_e}")
-    if samples > EXHAUSTIVE_SPAN_CAP:  # never rank more members than exhausting may
-        raise CapExceeded(f"{samples} samples, cap is {EXHAUSTIVE_SPAN_CAP}", size=samples)
+    capped("samples", EXHAUSTIVE_SPAN_CAP, samples)  # never more members than exhausting
     ctx, _, basis = span_basis(mats)
     dim_l = basis.shape[0]
     if dim_l == 0:
         return 0
     best = int(batch_rank(ctx, basis).max())
-    if dim_l < EXHAUSTIVE_SPAN_CAP.bit_length() and ctx.q ** dim_l <= EXHAUSTIVE_SPAN_CAP:
-        combos = all_vectors(ctx, dim_l)
+    combos = span_coefficients(ctx, dim_l)
+    if combos is not None:
         best = max(best, int(batch_rank(ctx, field_dot(ctx, combos, basis)).max()))
     if samples > 0:
         for deg in range(1, ext_e + 1):

@@ -17,13 +17,14 @@ from typing import Optional
 
 from .checks import (ALL_CHECKS, PROVEN_CHECKS, RECORDED_CHECKS, RankReport, applicable_checks,
                      check_suite)
-from .errors import CapExceeded, InputError, SurveyViolation, json_int
+from .errors import InputError, SurveyViolation, capped, json_int
 from .forms import MultilinearForm, check_coeff_cap, gen_random
 from .gfq import FieldCtx, digits, field_from_descriptor
 from .ranks import POINT_CAP, SEARCH_CAP
 
 CSV_VERSION = "tensor-rank-lab v1"
 BASE_COLUMNS = ("seed", "q", "dims", "d", "a", "r", "r_exact", "g_hat")
+WORKER_CAP = 64  # threads a survey may start
 
 
 @dataclass(frozen=True)
@@ -49,13 +50,9 @@ class SurveyConfig:
             raise InputError("e_max and workers must be >= 1")
         if self.point_cap <= 0 or self.search_cap <= 0:
             raise InputError("caps must be positive")
+        capped("survey workers", WORKER_CAP, self.workers)
         if self.exhaustive:
-            # q^k > cap once 2^k > cap, so a large k is refused before the power is taken
-            size = math.prod(self.dims)
-            total = self.ctx.q ** size if size < self.point_cap.bit_length() else None
-            if total is None or total > self.point_cap:
-                raise CapExceeded(f"an exhaustive survey enumerates {self.ctx.q}^{size} "
-                                  f"forms, cap is {self.point_cap}", size=total)
+            capped("exhaustive survey forms", self.point_cap, self.ctx.q, math.prod(self.dims))
         if self.checks is not None:
             unknown = set(self.checks) - set(ALL_CHECKS)
             if unknown:
@@ -163,7 +160,7 @@ def run_survey(cfg: SurveyConfig, csv_path, summary_path=None,
     raises (e.g. CapExceeded) ends the survey with the rows before it on
     disk, and the error propagates.
     """
-    nworkers = workers if workers is not None else cfg.workers
+    nworkers = capped("survey workers", WORKER_CAP, cfg.workers if workers is None else workers)
     check_names = cfg.column_checks()
     header = list(BASE_COLUMNS) + [f"check:{n}" for n in check_names]
     instances, ratios, flagged, recorded_flat_failures = 0, [], {}, 0

@@ -6,13 +6,15 @@ FieldCtx scalar arithmetic.  That arithmetic is the array arithmetic on one
 element, so it is itself checked against digitwise_add, schoolbook_mul
 and frobenius_trace, which work on digit lists and the modulus alone.
 naive_dot is the scalar-loop reference for the library's one contraction
-kernel, linalg.field_dot.  Five exceptions are former library routes
+kernel, linalg.field_dot.  Six exceptions are former library routes
 kept as faster references: enumerated_zero_set_count, the vectorized
 zero-set enumeration (field_dot and all_vectors), for mid-size counts;
 enumerated_value_histogram, the form's value at every point of the domain,
 for mid-size character sums; recursive_slice_rank, the per-tuple
 slice-rank search (canonical subspace order, one rref per tuple), which
-pins the first-witness rule; radical_restriction_vanishes, the
+pins the first-witness rule; greedy_hyperplanes, the greedy slice bound's
+hyperplanes from a second rref and a left kernel, against the library's
+one elimination per flattening; radical_restriction_vanishes, the
 restriction of C to left kernel x kernel of B, against the pencil checks'
 kernel-image containment; and gowers_norm_power_oracle, the U_d norm from
 its defining average over all (x, h_1..h_d), against the library's
@@ -25,8 +27,8 @@ import numpy as np
 
 from trlab.forms import MultilinearForm, restrict_axis_arr
 from trlab.gfq import FieldCtx, digits
-from trlab.linalg import (Matrix, all_vectors, field_dot, kernel_basis, left_kernel_basis, rref,
-                          subspace_bases)
+from trlab.linalg import (Matrix, Subspace, all_vectors, field_dot, kernel_basis,
+                          left_kernel_basis, rref, subspace_bases)
 
 
 def _digit_list(ctx: FieldCtx, a: int) -> list[int]:
@@ -234,6 +236,23 @@ def recursive_slice_rank(p: MultilinearForm):
             if got is not None:
                 return r, got
     raise AssertionError("a full-codimension tuple always vanishes")
+
+
+def greedy_hyperplanes(p: MultilinearForm) -> list[tuple[int, np.ndarray]]:
+    """(slot, canonical hyperplane basis) of every step of the greedy slice
+    bound, built the former way: the slot of least flattening rank r is cut
+    to the span of the left kernel of its flattening and the unit vectors of
+    the first r - 1 independent rows, reduced by a second rref."""
+    ctx, t, steps = p.ctx, p.coeffs, []
+    while t.any():
+        flats = [np.moveaxis(t, ax, 0).reshape(t.shape[ax], -1) for ax in range(t.ndim)]
+        ax = int(np.argmin([rref(Matrix(ctx, a)).rank for a in flats]))
+        a = flats[ax]
+        keep = np.eye(t.shape[ax], dtype=np.int64)[list(rref(Matrix(ctx, a.T)).pivots[:-1])]
+        h = Subspace.from_rows(ctx, np.vstack([kernel_basis(Matrix(ctx, a.T)).basis, keep]))
+        steps.append((ax, h.basis))
+        t = restrict_axis_arr(ctx, t, ax, h.basis)
+    return steps
 
 
 def naive_subspace_rank(mats, ctx: FieldCtx) -> int:

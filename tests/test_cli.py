@@ -135,16 +135,16 @@ HUGE_DIMS = ",".join([str(1 << 17)] * 3)  # 2^51 coefficients: refused before al
     (["gen", "rank1", "--dims", HUGE_DIMS, "--q", "2"], 3),
     (["survey", "{huge_config}", "-o", "{csv}"], 3),
     (["gowers", "{poly7}", "--d", "2"], 3),
-    (["gowers", "{poly10}", "--d", "1"], 3),
     (["gowers", "{poly20}", "--d", "2"], 3),
+    (["gowers", "{poly_long}", "--d", "2"], 3),
     (["rank", "{tensor222}", "--ext-e", "5000"], 3),
     (["rank", "{tensor222}", "--ext-e", "100000000"], 3),
     (["pencil", "prop22", "{pencil}", "--samples", "100000000"], 3),
 ], ids=["rank-field-e-10000", "pencil-kr-ext-e-20", "gen-q-71-digits", "rank-int-5001-digits",
         "gen-out-missing-dir", "pencil-block-out-missing-dir", "survey-csv-missing-dir",
         "survey-summary-missing-dir", "gen-diagonal-2^51-coeffs", "gen-random-2^51-coeffs",
-        "gen-rank1-2^51-coeffs", "survey-2^51-coeffs", "gowers-grid-3^14", "gowers-table-3^20",
-        "gowers-tuples-3^60", "rank-ext-e-5000", "rank-ext-e-10^8", "prop22-samples-10^8"])
+        "gen-rank1-2^51-coeffs", "survey-2^51-coeffs", "gowers-grid-3^14", "gowers-tuples-3^60",
+        "gowers-n-10^8", "rank-ext-e-5000", "rank-ext-e-10^8", "prop22-samples-10^8"])
 def test_exit_code_refused_without_traceback(tmp_path, args, code):
     # each is refused up front, or at the failing write, with its exit code
     paths = {
@@ -157,10 +157,9 @@ def test_exit_code_refused_without_traceback(tmp_path, args, code):
         "huge_config": _write(tmp_path, "h.json", {**SURVEY, "dims": [1 << 17] * 3}),
         "poly7": _write(tmp_path, "q7.json", {**POLY, "n": 7, "terms": [
             {"exps": [1, 1, 0, 0, 0, 0, 0], "coeff": 1}]}),
-        "poly10": _write(tmp_path, "q10.json", {**POLY, "n": 10, "terms": [
-            {"exps": [1] + [0] * 9, "coeff": 1}]}),
         "poly20": _write(tmp_path, "q20.json", {**POLY, "n": 20, "terms": [
             {"exps": [1, 1] + [0] * 18, "coeff": 1}]}),
+        "poly_long": _write(tmp_path, "ql.json", {**POLY, "n": 10 ** 8, "terms": []}),
         "tensor222": _write(tmp_path, "t222.json", TENSOR_222),
         "csv": str(tmp_path / "out.csv"),
         "missing": str(tmp_path / "missing"),
@@ -262,6 +261,15 @@ def test_gowers_cli_six_variables_in_time(tmp_path):
     res = runner.invoke(main, ["gowers", poly, "--d", "2"])
     assert res.exit_code == 0 and "PASS" in res.output, res.output
     assert time.perf_counter() - start < 2.0
+
+
+def test_gowers_d1_builds_no_addition_table(tmp_path):
+    # F3, n = 10, --d 1: |E_x f|^2 from the 3^10-point table alone; the
+    # 3^20-cell addition table the d >= 2 route reads is never built
+    poly = _write(tmp_path, "q10.json", {**POLY, "n": 10, "terms": [
+        {"exps": [1] + [0] * 9, "coeff": 1}]})
+    res = runner.invoke(main, ["gowers", poly, "--d", "1"])
+    assert res.exit_code == 0 and "PASS" in res.output, res.output
 
 
 @pytest.mark.parametrize("poly,degree", [

@@ -191,6 +191,15 @@ def test_polarize_zero_polynomial():
     assert polarize(q, 2).is_zero()
 
 
+def test_polynomial_table_refused_before_allocation():
+    # 3^15 points pass COEFF_CAP; 3^25 (a 6 TiB table) and 3^45 are past its
+    # bit length, so they are refused with no size, before the power is taken
+    for n, size in ((15, 3 ** 15), (25, None), (45, None)):
+        with pytest.raises(CapExceeded) as exc:
+            polarize(PolynomialFn(F3, n, ()), 2)
+        assert exc.value.size == size
+
+
 def test_polarize_cubic_f5():
     q = PolynomialFn(F5, 3, (((1, 1, 1), 1),))  # x1 x2 x3
     qt = polarize(q, 3)

@@ -3,7 +3,8 @@
 Each module imports only from the layers below it, so every primitive has
 one owner (the field-contraction kernel lives in linalg, digits in gfq),
 and no module defers an import into a function body to dodge a cycle.
-The rank searches share one deepening driver, ranks._deepen.
+The rank searches share one deepening driver, ranks._deepen, and every size
+cap is decided by one rule in errors.
 """
 
 import ast
@@ -79,3 +80,14 @@ def test_one_deepening_driver(name):
     # a second search driver would call these directly
     callers = {(mod, fn) for mod in MODULES for fn in _callers(_tree(mod), name)}
     assert callers == {("ranks", "_deepen")}
+
+
+@pytest.mark.parametrize("name,owners", [
+    ("bit_length", {("errors", "_power")}),
+    # the suite's refusal of an inexact slice rank has no size to compare
+    ("CapExceeded", {("errors", "capped"), ("checks", "check_suite")}),
+])
+def test_one_refusal_rule(name, owners):
+    # every size cap is decided by errors.capped or errors.within_cap
+    callers = {(mod, fn) for mod in MODULES for fn in _callers(_tree(mod), name)}
+    assert callers == owners

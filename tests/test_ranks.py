@@ -9,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (_vanishes_on, enumerated_value_histogram, enumerated_zero_set_count,
-                     naive_charsum_rank, naive_dot, naive_slice_rank, naive_subspace_rank,
-                     naive_zero_set_count, random_invertible, recursive_slice_rank)
+                     greedy_hyperplanes, naive_charsum_rank, naive_dot, naive_slice_rank,
+                     naive_subspace_rank, naive_zero_set_count, random_invertible,
+                     recursive_slice_rank)
 from trlab.errors import CapExceeded, InputError
 from trlab.forms import (MultilinearForm, gen_diagonal, gen_from_matrix,
                          gen_random, gen_rank_one)
@@ -489,6 +490,29 @@ def _slice_form(ctx, dims, kind, seed) -> MultilinearForm:
         t = rng.integers(0, ctx.q, size=dims[:slot] + dims[slot + 1:])
         coeffs = ctx.add_arr(coeffs, np.moveaxis(ctx.mul_arr(v, t[None]), 0, slot))
     return MultilinearForm(ctx, coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p_e=st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)]),
+       dims=st.lists(st.integers(1, 3), min_size=2, max_size=4),
+       kind=st.sampled_from(("dense", "sparse", "zero")), seed=st.integers(0, 2 ** 31))
+def test_greedy_hyperplanes_match_the_former_construction(p_e, dims, kind, seed):
+    # the kernel of the last nonzero row of rref(flattening^T) is the same
+    # canonical hyperplane as the left kernel plus the first r - 1 pivot rows
+    import trlab.ranks as R
+    form = _slice_form(field_new(*p_e), tuple(dims), kind, seed)
+    steps, restrict = [], R.restrict_axis_arr
+
+    def record(ctx, t, ax, basis):
+        steps.append((ax, basis))
+        return restrict(ctx, t, ax, basis)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(R, "restrict_axis_arr", record)
+        total = R._greedy_upper(form)
+    want = greedy_hyperplanes(form)
+    assert total == len(steps) == len(want)
+    for (ax, basis), (want_ax, want_basis) in zip(steps, want):
+        assert ax == want_ax and np.array_equal(basis, want_basis)
 
 
 @st.composite

@@ -286,3 +286,21 @@ def test_survey_check_columns_match_applicability(tmp_path):
     assert "check:analytic_le_rank" in header
     assert "check:rank_le_chain_analytic" not in header  # q = 2
     assert "check:rank_le_triple_codim" in header  # d = 3
+
+
+def test_workers_bounded_before_any_thread_or_file(tmp_path, monkeypatch):
+    def no_pool(*a, **k):
+        raise AssertionError("a thread pool was constructed")
+    monkeypatch.setattr(survey_mod, "ThreadPoolExecutor", no_pool)
+    with pytest.raises(CapExceeded) as exc:
+        _cfg(workers=10 ** 6)
+    assert exc.value.size == 10 ** 6
+    _cfg(workers=survey_mod.WORKER_CAP)
+    out = tmp_path / "s.csv"
+    with pytest.raises(CapExceeded):  # the override bypasses SurveyConfig
+        run_survey(_cfg(), out, workers=survey_mod.WORKER_CAP + 1)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"field": {"p": 2, "e": 1}, "dims": [2, 2], "count": 1}))
+    res = CliRunner().invoke(main, ["survey", str(cfg), "-o", str(out), "--workers", "1000000"])
+    assert res.exit_code == 3 and isinstance(res.exception, SystemExit), res.output
+    assert not out.exists()
