@@ -149,12 +149,8 @@ def check_suite(p: MultilinearForm, e_max: int = 3,
         "(recorded independently of the chained constant)"))
     # the estimator is a heuristic; cap its enumeration depth independently
     heur_cap = min(point_cap, HEURISTIC_POINT_CAP)
-    e_eff = 0
-    for e in range(1, e_max + 1):  # the sizes grow with e: stop at the first too large
-        if not within_cap(heur_cap, q, e * z.ambient):
-            break
-        e_eff = e
-    est = codim_estimate(p, e_eff, cap=heur_cap, base=z) if e_eff else None
+    est = (codim_estimate(p, e_max, cap=heur_cap, base=z)
+           if within_cap(heur_cap, q, z.ambient) else None)
     heur_skipped = est is None or est.ambiguous
     if not heur_skipped:
         g = est.g_hat
@@ -186,6 +182,8 @@ def _norm_size(q: PolynomialFn, d: int, cap: int) -> int:
     `cap` or its npts^d-cell derivative grid (for d >= 2 no smaller than the
     addition table) passes GRID_BUDGET, before anything is allocated."""
     p, n = q.ctx.p, q.n
+    if d < 1:
+        raise InputError(f"the U_d norm needs d >= 1, got {d}")
     capped("norm tuples", cap, p, n * (d + 1))
     capped("norm derivative grid cells", GRID_BUDGET, p, n * d)
     return p ** n

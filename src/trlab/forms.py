@@ -20,7 +20,10 @@ COEFF_CAP = 10 ** 7  # dense storage bound on prod(dims)
 
 
 def check_coeff_cap(dims) -> None:
-    """Refuse dense coefficients of these dims above COEFF_CAP, before allocating them."""
+    """Refuse negative dims, and dense coefficients of these dims above
+    COEFF_CAP, before allocating them."""
+    if any(n < 0 for n in dims):
+        raise InputError(f"dims must be >= 0, got {tuple(dims)}")
     capped("coefficient tensor size", COEFF_CAP, math.prod(dims))
 
 
@@ -139,6 +142,9 @@ def move_slot_first(p: MultilinearForm, slot: int) -> MultilinearForm:
 
 def gen_diagonal(ctx: FieldCtx, n: int, d: int) -> MultilinearForm:
     """sum_i x1[i] x2[i] ... xd[i]."""
+    if d < 1:
+        raise InputError(f"a form needs d >= 1 slots, got {d}")
+    capped("coefficient tensor size", COEFF_CAP, n, d)  # before the d-tuple of dims
     check_coeff_cap((n,) * d)
     c = np.zeros((n,) * d, dtype=np.int64)
     idx = np.arange(n)

@@ -9,7 +9,10 @@ Conventions used throughout the lab:
 * The modulus is always the lexicographically least monic irreducible of
   degree e over GF(p), "least" meaning the smallest integer encoding of the
   non-leading coefficient vector.  This makes towers reproducible across
-  runs and platforms without polynomial tables.
+  runs and platforms without polynomial tables.  Irreducibility is decided
+  by a root test (degree e over GF(p) is irreducible iff there is no root
+  in GF(p^k) for any k <= e/2) run with the array arithmetic of those
+  smaller fields, so the contexts below are the only arithmetic here.
 * Extensions of GF(q), q = p^e0, are always built directly over the prime
   field as GF(p^(e*e0)) together with an explicit embedding table for the
   base field (image of the base generator = the root of the base modulus
@@ -60,87 +63,31 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-# -- polynomial helpers over GF(p); coefficients are little-endian tuples --
-
-def _poly_trim(c):
-    c = list(c)
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mulmod(a, b, mod, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    # mod is monic of degree e
-    e = len(mod) - 1
-    for k in range(len(out) - 1, e - 1, -1):
-        c = out[k]
-        if c:
-            out[k] = 0
-            for j in range(e):
-                out[k - e + j] = (out[k - e + j] - c * mod[j]) % p
-    return _poly_trim(out[:e] if len(out) > e else out)
+def _values(ctx: FieldCtx, coeffs) -> np.ndarray:
+    """Values at every element of ctx of the polynomial with GF(p)
+    coefficients `coeffs` (lowest degree first), by Horner's rule."""
+    xs = np.arange(ctx.q, dtype=np.int64)
+    val = np.zeros(ctx.q, dtype=np.int64)
+    for c in reversed(coeffs):
+        val = ctx.add_arr(ctx.mul_arr(val, xs), int(c))
+    return val
 
 
-def _poly_powmod(a, k, mod, p):
-    r = [1]
-    b = _poly_trim(a)
-    while k > 0:
-        if k & 1:
-            r = _poly_mulmod(r, b, mod, p)
-        b = _poly_mulmod(b, b, mod, p)
-        k >>= 1
-    return r
-
-
-def _poly_sub(a, b, p):
-    n = max(len(a), len(b))
-    return _poly_trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-                       for i in range(n)])
-
-
-def _poly_rem(a, b, p):
-    a = _poly_trim(a)[:]
-    b = _poly_trim(b)
-    if b == [0]:
-        raise ZeroDivisionError("polynomial division by zero")
-    binv = pow(b[-1], p - 2, p)
-    while len(a) >= len(b) and a != [0]:
-        f = a[-1] * binv % p
-        sh = len(a) - len(b)
-        for i in range(len(b)):
-            a[sh + i] = (a[sh + i] - f * b[i]) % p
-        a = _poly_trim(a)
-    return a
-
-
-def _poly_gcd(a, b, p):
-    a, b = _poly_trim(a), _poly_trim(b)
-    while b != [0]:
-        a, b = b, _poly_rem(a, b, p)
-    return a
+def _linear_map(src: FieldCtx, dst: FieldCtx, x, images) -> np.ndarray:
+    """The GF(p)-linear map sending the basis element alpha^j of src to
+    images[j] in dst, applied to x: sum_j d_j(x) * images[j], with the d_j
+    the digits of x, is an integer map on digit vectors mod p."""
+    img = digits(np.asarray(images, dtype=np.int64), dst.p, dst.e)
+    return ((digits(x, src.p, src.e) @ img) % dst.p) @ dst._pw
 
 
 def _is_irreducible(coeffs, p: int) -> bool:
+    """A monic polynomial of degree e over GF(p) is irreducible iff it has
+    no root in GF(p^k) for any k <= e/2: an irreducible factor of degree k
+    has its roots there, and a root there has a minimal polynomial of degree
+    at most k dividing it.  The smaller fields are built (and cached) first."""
     e = len(coeffs) - 1
-    if e == 1:  # Rabin's test below compares with an unreduced x
-        return True
-    # Rabin's irreducibility test
-    mod = list(coeffs)
-    x = [0, 1]
-    xq = _poly_powmod(x, p ** e, mod, p)
-    if _poly_sub(xq, x, p) != [0]:
-        return False
-    for ell in _prime_factors(e):
-        xk = _poly_powmod(x, p ** (e // ell), mod, p)
-        g = _poly_gcd(mod, _poly_sub(xk, x, p), p)
-        if len(g) > 1:
-            return False
-    return True
+    return all((_values(field_new(p, k), coeffs) != 0).all() for k in range(1, e // 2 + 1))
 
 
 def _least_irreducible(p: int, e: int) -> tuple[int, ...]:
@@ -184,10 +131,11 @@ class FieldCtx:
         self._ext_cache: dict[int, tuple["FieldCtx", np.ndarray]] = {}
 
         # digits of x^k mod modulus for k < 2e - 1: reduces a product's convolution
-        xpow, xk = [], [1]
-        for _ in range(2 * e - 1):
-            xpow.append(xk + [0] * (e - len(xk)))
-            xk = _poly_mulmod(xk, [0, 1], self.modulus, p)
+        low = np.array(self.modulus[:e], dtype=np.int64)  # x^e = -low mod modulus
+        xk, xpow = np.eye(1, e, dtype=np.int64)[0], []
+        for _ in range(2 * e - 1):  # x^(k+1): shift x^k up one digit, fold its top back
+            xpow.append(xk)
+            xk = (np.concatenate(([0], xk[:-1])) - xk[-1] * low) % p
         self._xpow = np.array(xpow, dtype=np.int64)
 
         # mul_arr and inv_arr read the tables, so they exist before being built
@@ -217,7 +165,9 @@ class FieldCtx:
         q = self.q
         exp, step = np.ones(1, dtype=np.int64), self._primitive()
         while exp.size < q - 1:
-            exp = np.concatenate([exp, self.mul_arr(exp[:q - 1 - exp.size], step)])
+            # times step is GF(p)-linear: alpha^j goes to step * alpha^j
+            times = _linear_map(self, self, exp[:q - 1 - exp.size], self.mul_arr(step, self._pw))
+            exp = np.concatenate([exp, times])
             step = self.mul(step, step)
         return exp
 
@@ -372,20 +322,8 @@ class FieldCtx:
         if self.e == 1:
             emb = np.arange(self.q, dtype=np.int64)  # prime subfield encodes identically
         else:
-            xs = np.arange(ext.q, dtype=np.int64)
-            val = np.zeros(ext.q, dtype=np.int64)
-            for c in reversed(self.modulus):  # Horner; coefficients lie in GF(p)
-                val = ext.add_arr(ext.mul_arr(val, xs), int(c))
-            roots = np.nonzero(val == 0)[0]
-            assert roots.size == self.e, "modulus must split in the extension"
-            root = int(roots[0])
-            powers = [1]
-            for _ in range(1, self.e):
-                powers.append(ext.mul(powers[-1], root))
-            # x = sum_j d_j alpha^j maps to sum_j d_j root^j; the d_j lie in
-            # GF(p), so this is an integer map on digit vectors mod p
-            img = digits(np.array(powers), self.p, ext.e)
-            emb = ((digits(np.arange(self.q), self.p, self.e) @ img) % self.p) @ ext._pw
+            root = int(np.flatnonzero(_values(ext, self.modulus) == 0)[0])  # least root
+            emb = _linear_map(self, ext, np.arange(self.q), [ext.pow(root, j) for j in range(self.e)])
         self._ext_cache[k] = (ext, emb)
         return ext, emb
 

@@ -10,6 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, capped, json_int
+from .forms import check_coeff_cap
 from .gfq import FieldCtx, descriptor, field_from_descriptor
 from .linalg import (EXHAUSTIVE_SPAN_CAP, Matrix, Subspace, batch_rank, field_dot,
                      kernel_basis, rref, span_basis, span_coefficients)
@@ -43,6 +44,7 @@ def kronecker_block(ctx: FieldCtx, kind: str, n: int) -> Pencil:
     """
     if n < 0:
         raise InputError(f"block size must be >= 0, got {n}")
+    check_coeff_cap((n + 1, n))
     if kind == "Ln":
         a, b = np.eye(n + 1, n, dtype=np.int64), np.eye(n + 1, n, -1, dtype=np.int64)
     elif kind == "Ln_transpose":
@@ -186,8 +188,8 @@ def max_rank_reduction(mats, ext_e: int = 4, samples: int = 50, seed: int = 0) -
     refused before any draw.  Verification prefers base-field witnesses; only
     when every maximal-rank base element fails is the extension consulted.
     """
-    if ext_e < 1:
-        raise InputError(f"extension degree must be >= 1, got {ext_e}")
+    if ext_e < 1 or samples < 0:
+        raise InputError(f"need ext_e >= 1 and samples >= 0, got {ext_e} and {samples}")
     capped("samples", EXHAUSTIVE_SPAN_CAP, samples)  # never more members than exhausting
     ctx, shape, basis = span_basis(mats)
     dim_l = basis.shape[0]

@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InputError, capped
+from .errors import InputError, capped, within_cap
 from .forms import MultilinearForm, restrict_axis_arr
 from .gfq import FieldCtx, digits
 from .linalg import (EXHAUSTIVE_SPAN_CAP, Matrix, Subspace, all_vectors, batch_rank,
@@ -358,8 +358,8 @@ def generic_max_rank(mats, ext_e: int = 1, samples: int = 0, seed: int = 0) -> i
     probability of about (rank degeneracy degree) / q^deg; this is a
     heuristic, not a certificate.
     """
-    if ext_e < 1:
-        raise InputError(f"extension degree must be >= 1, got {ext_e}")
+    if ext_e < 1 or samples < 0:
+        raise InputError(f"need ext_e >= 1 and samples >= 0, got {ext_e} and {samples}")
     capped("samples", EXHAUSTIVE_SPAN_CAP, samples)  # never more members than exhausting
     ctx, _, basis = span_basis(mats)
     dim_l = basis.shape[0]
@@ -412,7 +412,9 @@ def codim_estimate(p: MultilinearForm, e_max: int, cap: int = POINT_CAP,
                    base: Optional[ZeroSetCount] = None) -> CodimEstimate:
     """Estimate from the counts at e = 1..e_max; `base`, the count of p at
     e = 1 when the caller already holds it, is used instead of counting it
-    again."""
+    again.  The sizes grow with e, so the levels stop before the first
+    e >= 2 whose (q^e)^ambient points pass `cap`; the trace shows the levels
+    used."""
     if e_max < 1:
         raise InputError(f"e_max must be >= 1, got {e_max}")
     if p.d < 2:
@@ -424,6 +426,8 @@ def codim_estimate(p: MultilinearForm, e_max: int, cap: int = POINT_CAP,
     logq = math.log(p.ctx.q)
     ambient = sum(p.dims[1:])
     for e in range(1, e_max + 1):
+        if e > 1 and not within_cap(cap, p.ctx.q, e * ambient):
+            break
         z = base if e == 1 and base is not None else zero_set_count(p, e, cap=cap)
         dim_est = math.log(z.count) / (e * logq)
         trace.append(ExtensionCount(e, z.count, dim_est))

@@ -12,7 +12,7 @@ import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .checks import (ALL_CHECKS, PROVEN_CHECKS, RECORDED_CHECKS, RankReport, applicable_checks,
@@ -129,17 +129,17 @@ def _row(cfg: SurveyConfig, seed_label: int, rep: RankReport,
             *checks]
 
 
-def _reports(cfg: SurveyConfig, workers: int):
+def _reports(cfg: SurveyConfig):
     """Yield (seed_label, RankReport) in index order, drawing the forms lazily
-    with at most 2 * workers in flight; closing cancels those not started."""
-    pool = ThreadPoolExecutor(max_workers=workers)
+    with at most 2 * cfg.workers in flight; closing cancels those not started."""
+    pool = ThreadPoolExecutor(max_workers=cfg.workers)
     window = deque()
     try:
         for seed_label, form in _instances(cfg):
             window.append((seed_label, pool.submit(
                 check_suite, form, e_max=cfg.e_max,
                 point_cap=cfg.point_cap, search_cap=cfg.search_cap)))
-            if len(window) == 2 * workers:
+            if len(window) == 2 * cfg.workers:
                 label, fut = window.popleft()
                 yield label, fut.result()
         for label, fut in window:
@@ -160,13 +160,14 @@ def run_survey(cfg: SurveyConfig, csv_path, summary_path=None,
     raises (e.g. CapExceeded) ends the survey with the rows before it on
     disk, and the error propagates.
     """
-    nworkers = capped("survey workers", WORKER_CAP, cfg.workers if workers is None else workers)
+    if workers is not None:  # validated as the config's own field, before any file opens
+        cfg = replace(cfg, workers=workers)
     check_names = cfg.column_checks()
     header = list(BASE_COLUMNS) + [f"check:{n}" for n in check_names]
     instances, ratios, flagged, recorded_flat_failures = 0, [], {}, 0
     with (open(csv_path, "w", newline="") as fh,
           nullcontext() if summary_path is None else open(summary_path, "w") as sfh,
-          closing(_reports(cfg, nworkers)) as reports):
+          closing(_reports(cfg)) as reports):
         fh.write(f"# {CSV_VERSION}\n{','.join(header)}\n")
         for seed_label, rep in reports:
             cells = _row(cfg, seed_label, rep, check_names)

@@ -40,12 +40,28 @@ def test_f9_modulus_found_by_root_test():
 
 
 def test_irreducibility_matches_trial_division():
-    # every monic polynomial of degree 2..4 over F2, F3, F5 and F7
-    for p in (2, 3, 5, 7):
-        for e in (2, 3, 4):
-            for low in itertools.product(range(p), repeat=e):
-                cand = (*low, 1)
-                assert _is_irreducible(cand, p) == is_irreducible_oracle(cand, p), (p, cand)
+    # every monic polynomial of degree 2..4 over F2, F3, F5 and F7, and of
+    # degree 5 and 6 over F2 and F3, where the root test reaches GF(p^2)
+    # and GF(p^3)
+    cases = [(p, e) for p in (2, 3, 5, 7) for e in (2, 3, 4)] + [(2, 5), (2, 6), (3, 5), (3, 6)]
+    for p, e in cases:
+        for low in itertools.product(range(p), repeat=e):
+            cand = (*low, 1)
+            assert _is_irreducible(cand, p) == is_irreducible_oracle(cand, p), (p, cand)
+
+
+def test_modulus_is_the_least_irreducible_by_trial_division():
+    # every field of order at most 2^10 with e >= 2, checked against the
+    # oracle alone: its modulus is irreducible and every smaller encoding
+    # of the low coefficients is not
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for e in range(2, 11):
+            if p ** e > 2 ** 10:
+                break
+            mod = field_new(p, e).modulus
+            assert len(mod) == e + 1 and mod[-1] == 1 and is_irreducible_oracle(mod, p)
+            for enc in range(sum(c * p ** j for j, c in enumerate(mod[:e]))):
+                assert not is_irreducible_oracle((*digits(enc, p, e).tolist(), 1), p), (p, e, enc)
 
 
 def test_non_prime_p_rejected():
@@ -153,10 +169,11 @@ def test_mul_and_inv_tables_exhaustive(p, e):
     assert all(want[a][inv[a]] == 1 for a in range(1, ctx.q))
 
 
-@pytest.mark.parametrize("p,e", [(2, 10), (2, 11), (3, 7)])
+@pytest.mark.parametrize("p,e", [(2, 10), (2, 11), (3, 7), (2, 16)])
 def test_mul_and_inv_sampled_on_large_fields(p, e):
     # GF(2^10): the last full table; GF(2^11), GF(3^7): convolution and
-    # the inverse table
+    # the inverse table; GF(2^16): the longest exp table, whose doubling
+    # multiplies by each step as one GF(2)-linear map
     ctx = field_new(p, e)
     rng = np.random.default_rng(p * 100 + e)
     x = rng.integers(0, ctx.q, size=300).tolist()

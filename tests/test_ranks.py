@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -808,6 +809,17 @@ def test_codim_estimate_takes_the_base_count(monkeypatch):
     assert counted == [2, 3]
     with pytest.raises(InputError, match="extension degree 2"):
         codim_estimate(p, 3, base=zero_set_count(p, 2))
+
+
+def test_codim_estimate_stops_at_the_first_level_past_the_cap():
+    # F3 2x2x2, ambient 4: (3^5)^4 = 3^20 <= POINT_CAP = 2^34 < 3^24, so a
+    # huge e_max counts levels 1..5 and returns at once
+    p = gen_random(F3, (2, 2, 2), 0)
+    start = time.perf_counter()
+    est = codim_estimate(p, 2 ** 63)
+    assert time.perf_counter() - start < 1.0
+    assert [t.extension_degree for t in est.trace] == [1, 2, 3, 4, 5]
+    assert est == codim_estimate(p, 5)
 
 
 def test_codim_estimate_validation():

@@ -71,6 +71,15 @@ def test_survey_thread_count_invariance(tmp_path):
     assert blobs[1] == blobs[4]
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_survey_refuses_no_workers_before_opening_the_csv(tmp_path, workers):
+    out = tmp_path / "keep.csv"
+    out.write_bytes(b"earlier rows\n")
+    with pytest.raises(InputError):
+        run_survey(_cfg(), out, workers=workers)
+    assert out.read_bytes() == b"earlier rows\n"
+
+
 def test_survey_floats_are_12_sig_digits(tmp_path):
     out = tmp_path / "f.csv"
     run_survey(_cfg(count=3), out)
