@@ -7,9 +7,9 @@ from .forms import (MultilinearForm, PolynomialFn, contract, evaluate, flatten,
                     gen_diagonal, gen_from_matrix, gen_random, gen_rank_one,
                     move_slot_first, polarize, poly_from_obj, poly_to_obj,
                     restrict, tensor_from_obj, tensor_to_obj)
-from .gfq import FieldCtx, char_psi, field_from_order, field_new, trace
-from .linalg import (Matrix, Subspace, batch_rank, gaussian_binomial, image_basis,
-                     kernel_basis, left_kernel_basis, rank, rref, subspaces_iter)
+from .gfq import FieldCtx, field_from_order, field_new
+from .linalg import (Matrix, Subspace, batch_rank, gaussian_binomial, kernel_basis,
+                     left_kernel_basis, rank, rref)
 from .pencils import (KernelImageReport, MaxRankReduction, Pencil,
                       RadicalRestrictionReport, RankProfile, kernel_image_check,
                       kronecker_block, max_rank_reduction, pencil_from_obj,

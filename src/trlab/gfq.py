@@ -33,7 +33,7 @@ import numpy as np
 from .errors import InputError, capped, json_int
 
 SIZE_CAP = 1 << 20       # largest field order the lab will construct
-FULL_TABLE_MAX = 1 << 10  # dense q x q multiplication table up to this order
+FULL_TABLE_MAX = 1 << 10  # dense q x q multiplication table up to this order, e >= 2
 # inverse table up to this order; it and the multiplication table are read
 # off a log/exp table that is dropped after construction
 LOG_TABLE_MAX = 1 << 16
@@ -146,7 +146,7 @@ class FieldCtx:
             log[exp] = np.arange(q - 1)
             inv = np.zeros(q, dtype=np.int64)
             inv[exp] = exp[-np.arange(q - 1) % (q - 1)]
-            if q <= FULL_TABLE_MAX:
+            if e > 1 and q <= FULL_TABLE_MAX:  # mul_arr multiplies in GF(p) as x * y % p
                 mul = np.zeros((q, q), dtype=np.int64)
                 mul[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
                 self._mul_t = mul
@@ -188,12 +188,6 @@ class FieldCtx:
     def add(self, a: int, b: int) -> int:
         return int(self.add_arr(a, b))
 
-    def neg(self, a: int) -> int:
-        return int(self.neg_arr(a))
-
-    def sub(self, a: int, b: int) -> int:
-        return int(self.sub_arr(a, b))
-
     def mul(self, a: int, b: int) -> int:
         return int(self.mul_arr(a, b))
 
@@ -213,12 +207,6 @@ class FieldCtx:
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Polynomial-basis digit vector of an element, least significant first."""
         return tuple(digits(a, self.p, self.e).tolist())
-
-    def from_coeffs(self, cs) -> int:
-        cs = list(cs)
-        if len(cs) != self.e or any(not (0 <= c < self.p) for c in cs):
-            raise InputError("coefficient vector must have length e with entries in [0, p)")
-        return int(sum(c * int(pj) for c, pj in zip(cs, self._pw)))
 
     def elements(self) -> range:
         return range(self.q)
@@ -362,16 +350,6 @@ def field_from_order(q: int) -> FieldCtx:
     if p ** e != q:
         raise InputError(f"{q} is not a prime power")
     return field_new(p, e)
-
-
-def trace(ctx: FieldCtx, x: int) -> int:
-    """Absolute trace GF(p^e) -> GF(p), x + x^p + ... + x^(p^(e-1))."""
-    return ctx.trace(x)
-
-
-def char_psi(ctx: FieldCtx, j: int, x: int) -> complex:
-    """psi_j(x) = exp(2*pi*i * j * trace(x) / p) for a nontrivial index j."""
-    return complex(ctx.char_table(j)[x])
 
 
 def descriptor(ctx: FieldCtx) -> dict:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .gfq import FieldCtx, digits
 
 SUBSPACE_CAP = 10 ** 7  # default refusal bound on enumerated subspace counts
 EXHAUSTIVE_SPAN_CAP = 10 ** 5  # largest q^dim(span) whose elements are all enumerated
+GRID_BUDGET = 1 << 22     # max grid cells materialized per vectorized step
 
 
 def _as_field_array(ctx: FieldCtx, data, ndim: int) -> np.ndarray:
@@ -64,9 +65,6 @@ class Matrix:
         if self.ctx != other.ctx or self.cols != other.rows:
             raise InputError("matrix product shape/field mismatch")
         return Matrix(self.ctx, field_dot(self.ctx, self.data, other.data))
-
-    def mat_vec(self, v) -> np.ndarray:
-        return field_dot(self.ctx, self.data, v)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.ctx == other.ctx
@@ -140,6 +138,27 @@ def span_basis(mats) -> tuple[FieldCtx, tuple[int, int], np.ndarray]:
     shape = stack.shape[1:]
     red = rref(Matrix(ctx, stack.reshape(len(stack), math.prod(shape))))
     return ctx, shape, red.matrix.data[:red.rank].reshape(red.rank, *shape)
+
+
+def sampled_span(mats, ext_e: int, samples: int) -> tuple[FieldCtx, tuple[int, int], np.ndarray]:
+    """span_basis(mats) for a search that draws `samples` members of the span
+    over extensions of degree up to ext_e.  ext_e < 1, samples < 0 and more
+    than EXHAUSTIVE_SPAN_CAP samples are refused first, before any draw."""
+    if ext_e < 1 or samples < 0:
+        raise InputError(f"need ext_e >= 1 and samples >= 0, got {ext_e} and {samples}")
+    capped("samples", EXHAUSTIVE_SPAN_CAP, samples)  # never more members than exhausting
+    return span_basis(mats)
+
+
+def span_ranks(ctx: FieldCtx, coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Ranks of the span members coeffs[i] . basis, for an (N, dim) coefficient
+    block and a (dim, rows, cols) basis, built and ranked in blocks of at most
+    GRID_BUDGET member cells (one member when it alone is larger)."""
+    block = max(1, GRID_BUDGET // max(1, math.prod(basis.shape[1:])))
+    out = np.zeros(len(coeffs), dtype=np.int64)
+    for s in range(0, len(coeffs), block):
+        out[s:s + block] = batch_rank(ctx, field_dot(ctx, coeffs[s:s + block], basis))
+    return out
 
 
 class RrefResult(NamedTuple):
@@ -226,11 +245,6 @@ class Subspace:
         stacked = np.vstack([self.basis, v])
         return rref(Matrix(self.ctx, stacked)).rank == self.dim
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        if self.ctx != other.ctx or self.ambient != other.ambient:
-            raise InputError("subspace comparison across different spaces")
-        return self.contains_vectors(other.basis)
-
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.ctx == other.ctx
                 and self.ambient == other.ambient
@@ -256,11 +270,6 @@ def kernel_basis(m: Matrix) -> Subspace:
     rows[np.arange(len(free)), free] = 1
     rows[:, list(pivots)] = ctx.neg_arr(red.data[:rk, free].T)
     return Subspace.from_rows(ctx, rows)
-
-
-def image_basis(m: Matrix) -> Subspace:
-    """Column space of M as a canonical subspace of GF(q)^rows."""
-    return Subspace.from_rows(m.ctx, m.data.T)
 
 
 def left_kernel_basis(m: Matrix) -> Subspace:
@@ -313,18 +322,6 @@ def subspace_bases(ctx: FieldCtx, n: int, k: int, cap: int = SUBSPACE_CAP) -> np
     """Cached array of all canonical bases; refuses above the cap."""
     capped(f"{k}-dim subspaces of GF({ctx.q})^{n}", cap, gaussian_binomial(n, k, ctx.q))
     return _subspace_bases_cached(ctx, n, k)
-
-
-def subspaces_iter(ctx: FieldCtx, n: int, k: int, cap: int = SUBSPACE_CAP) -> Iterator[Subspace]:
-    """Every k-dimensional subspace of GF(q)^n exactly once, canonical order.
-
-    The stream can be consumed in parallel by splitting on pivot-set
-    prefixes; recombining in pivot order reproduces this exact sequence.
-    """
-    if not (0 <= k <= n):
-        raise InputError(f"need 0 <= k <= n, got k={k}, n={n}")
-    for b in subspace_bases(ctx, n, k, cap=cap):
-        yield Subspace(ctx, n, b)
 
 
 def batch_rank(ctx: FieldCtx, mats: np.ndarray) -> np.ndarray:

@@ -12,8 +12,8 @@ import numpy as np
 from .errors import InputError, capped, json_int
 from .forms import check_coeff_cap
 from .gfq import FieldCtx, descriptor, field_from_descriptor
-from .linalg import (EXHAUSTIVE_SPAN_CAP, Matrix, Subspace, batch_rank, field_dot,
-                     kernel_basis, rref, span_basis, span_coefficients)
+from .linalg import (Matrix, Subspace, batch_rank, field_dot, kernel_basis, rref,
+                     sampled_span, span_coefficients, span_ranks)
 
 PROFILE_CAP = 10 ** 6  # bound on projective points per rank profile
 
@@ -65,12 +65,6 @@ class RankProfile:
     extension_degree: int
     field_order: int
     points: tuple[tuple[tuple[int, int], int], ...]
-
-    def rank_at_infinity(self) -> int:
-        return self.points[-1][1]
-
-    def affine_ranks(self) -> tuple[int, ...]:
-        return tuple(r for (_, r) in self.points[:-1])
 
 
 def _line_ranks(pencil: Pencil, ext_e: int, cap: int = PROFILE_CAP):
@@ -188,43 +182,32 @@ def max_rank_reduction(mats, ext_e: int = 4, samples: int = 50, seed: int = 0) -
     refused before any draw.  Verification prefers base-field witnesses; only
     when every maximal-rank base element fails is the extension consulted.
     """
-    if ext_e < 1 or samples < 0:
-        raise InputError(f"need ext_e >= 1 and samples >= 0, got {ext_e} and {samples}")
-    capped("samples", EXHAUSTIVE_SPAN_CAP, samples)  # never more members than exhausting
-    ctx, shape, basis = span_basis(mats)
+    ctx, shape, basis = sampled_span(mats, ext_e, samples)
     dim_l = basis.shape[0]
     if dim_l == 0:
         full = Subspace.full(ctx, shape[1])
         zero = Subspace.zero(ctx, shape[0])
         return MaxRankReduction(True, 0, full, zero, False, 1, 1, 0)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     base_coeffs = span_coefficients(ctx, dim_l)
     if base_coeffs is None:
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
         base_coeffs = np.vstack([np.eye(dim_l, dtype=np.int64),
                                  rng.integers(0, ctx.q, size=(samples, dim_l), dtype=np.int64)])
-    base_mats = field_dot(ctx, base_coeffs, basis)
-    base_ranks = batch_rank(ctx, base_mats)
-
     ext, emb = ctx.extension(ext_e)
-    ebasis = emb[basis]
     ext_rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     ext_coeffs = ext_rng.integers(0, ext.q, size=(samples, dim_l), dtype=np.int64)
-    ext_mats = field_dot(ext, ext_coeffs, ebasis)
-    ext_ranks = batch_rank(ext, ext_mats)
-
-    rtilde = int(max(base_ranks.max(initial=0), ext_ranks.max(initial=0)))
-    tried_base = tried_ext = 0
-    for idx in np.nonzero(base_ranks == rtilde)[0]:
-        tried_base += 1
-        w, v = _kernel_image(ctx, base_mats[idx], basis)
-        if v is not None:
-            return MaxRankReduction(True, rtilde, w, v, False, 1, tried_base, 0)
-    for idx in np.nonzero(ext_ranks == rtilde)[0]:
-        tried_ext += 1
-        w, v = _kernel_image(ext, ext_mats[idx], ebasis)
-        if v is not None:
-            return MaxRankReduction(True, rtilde, w, v, True, ext_e, tried_base, tried_ext)
-    return MaxRankReduction(False, rtilde, None, None, False, ext_e, tried_base, tried_ext)
+    sides = [(ctx, base_coeffs, basis), (ext, ext_coeffs, emb[basis])]
+    ranks = [span_ranks(*side) for side in sides]
+    rtilde = int(max(r.max(initial=0) for r in ranks))
+    tried = [0, 0]  # base, extension
+    for over_ext, ((field, coeffs, b), r) in enumerate(zip(sides, ranks)):
+        for idx in np.flatnonzero(r == rtilde):
+            tried[over_ext] += 1
+            w, v = _kernel_image(field, field_dot(field, coeffs[idx], b), b)
+            if v is not None:
+                degree = ext_e if over_ext else 1
+                return MaxRankReduction(True, rtilde, w, v, bool(over_ext), degree, *tried)
+    return MaxRankReduction(False, rtilde, None, None, False, ext_e, *tried)
 
 
 # -- serialization -------------------------------------------------------------

@@ -34,12 +34,11 @@ import numpy as np
 from .errors import InputError, capped, within_cap
 from .forms import MultilinearForm, restrict_axis_arr
 from .gfq import FieldCtx, digits
-from .linalg import (EXHAUSTIVE_SPAN_CAP, Matrix, Subspace, all_vectors, batch_rank,
-                     field_dot, gaussian_binomial, kernel_basis, left_kernel_basis, rref,
-                     span_basis, span_coefficients, stack_matrices, subspace_bases)
+from .linalg import (GRID_BUDGET, Matrix, Subspace, all_vectors, batch_rank, field_dot,
+                     gaussian_binomial, kernel_basis, left_kernel_basis, rref, sampled_span,
+                     span_coefficients, span_ranks, stack_matrices, subspace_bases)
 
 POINT_CAP = 2 ** 34       # refusal bound on enumerated points or ranked matrices
-GRID_BUDGET = 1 << 22     # max grid cells materialized per vectorized step
 SEARCH_CAP = 5 * 10 ** 6  # refusal bound on subspace-tuple rank tests
 
 
@@ -347,35 +346,29 @@ def subspace_rank_exact(mats, cap: int = SEARCH_CAP) -> int:
 def generic_max_rank(mats, ext_e: int = 1, samples: int = 0, seed: int = 0) -> int:
     """Max rank over the span, stabilized over extensions.
 
-    Exhausts all base-field combinations when q^dim(span) is at most
-    EXHAUSTIVE_SPAN_CAP, as max_rank_reduction does; otherwise at least the
-    basis elements are ranked.  On top of that, `samples` seeded random
-    combinations are drawn over GF(q^deg) for every deg = 1..ext_e, and the
-    running maximum is returned, so the result is monotone nondecreasing
-    in both ext_e and samples by construction; more than
-    EXHAUSTIVE_SPAN_CAP samples are refused before any draw.  With a large extension the
+    Ranks every base-field combination when q^dim(span) is at most
+    EXHAUSTIVE_SPAN_CAP, as max_rank_reduction does, and otherwise the basis;
+    then `samples` seeded random combinations over GF(q^deg) for every
+    deg = 1..ext_e.  The running maximum is returned, so the result is
+    monotone nondecreasing in both ext_e and samples by construction; the
+    arguments are checked by linalg.sampled_span.  With a large extension the
     result is the algebraic-closure value up to a per-sample failure
     probability of about (rank degeneracy degree) / q^deg; this is a
     heuristic, not a certificate.
     """
-    if ext_e < 1 or samples < 0:
-        raise InputError(f"need ext_e >= 1 and samples >= 0, got {ext_e} and {samples}")
-    capped("samples", EXHAUSTIVE_SPAN_CAP, samples)  # never more members than exhausting
-    ctx, _, basis = span_basis(mats)
+    ctx, _, basis = sampled_span(mats, ext_e, samples)
     dim_l = basis.shape[0]
     if dim_l == 0:
         return 0
-    best = int(batch_rank(ctx, basis).max())
-    combos = span_coefficients(ctx, dim_l)
-    if combos is not None:
-        best = max(best, int(batch_rank(ctx, field_dot(ctx, combos, basis)).max()))
+    combos = span_coefficients(ctx, dim_l)  # None: too many, rank the basis
+    best = int(span_ranks(ctx, np.eye(dim_l, dtype=np.int64) if combos is None else combos,
+                          basis).max())
     if samples > 0:
         for deg in range(1, ext_e + 1):
             ext, emb = ctx.extension(deg)
-            ebasis = emb[basis]
             rng = np.random.default_rng(np.random.SeedSequence((seed, deg)))
             cf = rng.integers(0, ext.q, size=(samples, dim_l), dtype=np.int64)
-            best = max(best, int(batch_rank(ext, field_dot(ext, cf, ebasis)).max()))
+            best = max(best, int(span_ranks(ext, cf, emb[basis]).max()))
     return best
 
 

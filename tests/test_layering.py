@@ -91,3 +91,40 @@ def test_one_refusal_rule(name, owners):
     # every size cap is decided by errors.capped or errors.within_cap
     callers = {(mod, fn) for mod in MODULES for fn in _callers(_tree(mod), name)}
     assert callers == owners
+
+
+def test_span_members_ranked_by_one_primitive():
+    # the span searches draw coefficients; linalg.span_ranks builds and ranks
+    # the members, in GRID_BUDGET blocks, after linalg.sampled_span checks
+    searches = {("pencils", "max_rank_reduction"), ("ranks", "generic_max_rank")}
+    for name in ("batch_rank", "span_basis"):
+        callers = {(mod, fn) for mod in MODULES for fn in _callers(_tree(mod), name)}
+        assert not callers & searches, f"a span search calls {name} directly"
+    for name in ("span_ranks", "sampled_span"):
+        assert searches <= {(mod, fn) for mod in MODULES for fn in _callers(_tree(mod), name)}
+
+
+PUBLIC = {
+    "CheckOutcome", "RankReport", "check_suite", "gowers_bias_identity", "gowers_norm_power",
+    "multilinear_bias", "CapExceeded", "InputError", "LabError", "SurveyViolation",
+    "MultilinearForm", "PolynomialFn", "contract", "evaluate", "flatten", "gen_diagonal",
+    "gen_from_matrix", "gen_random", "gen_rank_one", "move_slot_first", "polarize",
+    "poly_from_obj", "poly_to_obj", "restrict", "tensor_from_obj", "tensor_to_obj",
+    "FieldCtx", "field_from_order", "field_new", "Matrix", "Subspace", "batch_rank",
+    "gaussian_binomial", "kernel_basis", "left_kernel_basis", "rank", "rref",
+    "KernelImageReport", "MaxRankReduction", "Pencil", "RadicalRestrictionReport",
+    "RankProfile", "kernel_image_check", "kronecker_block", "max_rank_reduction",
+    "pencil_from_obj", "pencil_to_obj", "radical_restriction_check", "rank_profile",
+    "CodimEstimate", "SchmidtRank", "SliceRank", "SubspaceWitness", "ZeroSetCount",
+    "analytic_rank_charsum", "analytic_rank_count", "codim_estimate", "generic_max_rank",
+    "schmidt_rank", "slice_rank_exact", "subspace_rank_exact", "zero_set_count",
+    "SurveyConfig", "config_from_obj", "run_survey",
+}
+
+
+def test_public_names_are_pinned():
+    # a change to the package's public surface has to edit this set too
+    tree = _tree("__init__")
+    exported = {a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                for a in node.names}
+    assert exported == PUBLIC

@@ -1,16 +1,18 @@
 """RREF, kernels/images, subspace enumeration, batch rank."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import all_subspaces_bruteforce, naive_dot
+import trlab.linalg as L
 from trlab.errors import CapExceeded, InputError
 from trlab.gfq import field_new
 from trlab.linalg import (Matrix, Subspace, batch_rank, field_dot, gaussian_binomial,
-                          image_basis, kernel_basis, left_kernel_basis,
-                          rank, rref, subspace_bases, subspaces_iter)
+                          kernel_basis, left_kernel_basis, rank, rref, subspace_bases)
 
 F2 = field_new(2, 1)
 F3 = field_new(3, 1)
@@ -53,12 +55,12 @@ def test_rank_transpose_invariant():
 def test_kernel_image_examples():
     ident = Matrix.identity(F2, 3)
     assert kernel_basis(ident).dim == 0
-    assert image_basis(ident) == Subspace.full(F2, 3)
+    assert Subspace.from_rows(F2, ident.data.T) == Subspace.full(F2, 3)
     zero = Matrix.zeros(F2, 3, 3)
     assert kernel_basis(zero) == Subspace.full(F2, 3)
     diag = Matrix(F2, [[0, 0], [0, 1]])
     assert kernel_basis(diag).basis.tolist() == [[1, 0]]
-    assert image_basis(diag).basis.tolist() == [[0, 1]]
+    assert Subspace.from_rows(F2, diag.data.T).basis.tolist() == [[0, 1]]
 
 
 def test_kernel_vectors_annihilate():
@@ -69,32 +71,32 @@ def test_kernel_vectors_annihilate():
             k = kernel_basis(m)
             assert k.dim == 4 - rank(m)
             for v in k.basis:
-                assert not m.mat_vec(v).any()
+                assert not field_dot(ctx, m.data, v).any()
             lk = left_kernel_basis(m)
             for u in lk.basis:
                 assert not field_dot(ctx, u[None, :], m.data).any()
-            assert image_basis(m).dim == rank(m)
+            assert Subspace.from_rows(ctx, m.data.T).dim == rank(m)
 
 
 def test_subspace_counts_small():
     assert gaussian_binomial(2, 1, 2) == 3
     assert gaussian_binomial(3, 1, 2) == 7
     assert gaussian_binomial(4, 2, 2) == 35
-    assert len(list(subspaces_iter(F2, 2, 1))) == 3
-    assert len(list(subspaces_iter(F2, 3, 1))) == 7
-    assert len(list(subspaces_iter(F2, 4, 2))) == 35
+    assert len(subspace_bases(F2, 2, 1)) == 3
+    assert len(subspace_bases(F2, 3, 1)) == 7
+    assert len(subspace_bases(F2, 4, 2)) == 35
 
 
 @pytest.mark.parametrize("ctx,n", [(F2, 4), (F3, 3), (field_new(2, 2), 3)])
 def test_subspace_enumeration_complete_and_unique(ctx, n):
     for k in range(n + 1):
-        subs = list(subspaces_iter(ctx, n, k))
+        subs = subspace_bases(ctx, n, k)
         assert len(subs) == gaussian_binomial(n, k, ctx.q)
-        keys = {s.basis.tobytes() for s in subs}
+        keys = {b.tobytes() for b in subs}
         assert len(keys) == len(subs)  # canonical bases are pairwise distinct
-        for s in subs:
-            red = rref(Matrix(ctx, s.basis))
-            assert red.rank == k and np.array_equal(red.matrix.data[:k], s.basis)
+        for b in subs:
+            red = rref(Matrix(ctx, b))
+            assert red.rank == k and np.array_equal(red.matrix.data[:k], b)
         if ctx.q ** (k * n) <= 3 ** 9:
             oracle = {b.tobytes() for b in all_subspaces_bruteforce(ctx, n, k)}
             assert keys == oracle
@@ -102,7 +104,7 @@ def test_subspace_enumeration_complete_and_unique(ctx, n):
 
 def test_subspace_cap_refusal():
     with pytest.raises(CapExceeded) as exc:
-        list(subspaces_iter(F2, 40, 20))
+        subspace_bases(F2, 40, 20)
     assert str(gaussian_binomial(40, 20, 2)) in str(exc.value)
 
 
@@ -120,8 +122,8 @@ def test_subspace_contains():
     s = Subspace.from_rows(F2, [[1, 0, 1], [0, 1, 0]])
     assert s.contains_vectors([[1, 1, 1]])
     assert not s.contains_vectors([[0, 0, 1]])
-    assert s.contains_subspace(Subspace.from_rows(F2, [[1, 1, 1]]))
-    assert Subspace.full(F2, 3).contains_subspace(s)
+    assert s.contains_vectors(Subspace.from_rows(F2, [[1, 1, 1]]).basis)
+    assert Subspace.full(F2, 3).contains_vectors(s.basis)
 
 
 def test_bilinear_restriction_consistency():
@@ -200,6 +202,37 @@ def test_batch_rank_edge_shapes():
     assert batch_rank(F2, np.zeros((2, 0, 3), dtype=np.int64)).tolist() == [0, 0]
     assert batch_rank(F2, np.zeros((2, 3, 0), dtype=np.int64)).tolist() == [0, 0]
     assert batch_rank(F3, np.zeros((3, 2, 4), dtype=np.int64)).tolist() == [0, 0, 0]
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2)])
+@pytest.mark.parametrize("n,dim,rows,cols", [
+    (37, 3, 3, 4),  # blocks of 5 members of 12 cells under a budget of 64
+    (4, 2, 9, 9),   # one member of 81 cells is more than the budget: blocks of 1
+    (6, 2, 0, 3),   # zero-row members
+    (6, 2, 3, 0),   # zero-column members
+    (0, 3, 2, 2),   # an empty coefficient block, as samples = 0 draws
+])
+def test_span_ranks_in_budget_blocks(monkeypatch, p, e, n, dim, rows, cols):
+    ctx = field_new(p, e)
+    rng = np.random.default_rng(n + 10 * p + e)
+    coeffs = rng.integers(0, ctx.q, size=(n, dim), dtype=np.int64)
+    basis = rng.integers(0, ctx.q, size=(dim, rows, cols), dtype=np.int64)
+    seen, real = [], L.batch_rank
+
+    def recording(field, mats):
+        seen.append(mats.shape)
+        return real(field, mats)
+
+    monkeypatch.setattr(L, "GRID_BUDGET", 64)
+    monkeypatch.setattr(L, "batch_rank", recording)
+    got = L.span_ranks(ctx, coeffs, basis)
+    cells = rows * cols
+    assert all(math.prod(s) <= 64 or s[0] == 1 for s in seen)
+    assert sum(s[0] for s in seen) == n
+    if 0 < cells <= 64:
+        assert len(seen) == -(-n // (64 // cells))
+    members = naive_dot(ctx, coeffs, basis)
+    assert got.tolist() == [rank(Matrix(ctx, m)) for m in members]
 
 
 def test_matrix_validation():

@@ -13,7 +13,7 @@ from oracles import radical_restriction_vanishes
 from trlab.errors import CapExceeded, InputError
 from trlab.forms import gen_from_matrix
 from trlab.gfq import field_new
-from trlab.linalg import Matrix, Subspace, image_basis, kernel_basis, rank
+from trlab.linalg import Matrix, Subspace, field_dot, kernel_basis, rank
 from trlab.pencils import (Pencil, kernel_image_check, kronecker_block,
                            max_rank_reduction, pencil_from_obj, pencil_to_obj,
                            radical_restriction_check, rank_profile)
@@ -58,15 +58,15 @@ def test_kronecker_blocks_have_full_rank_everywhere(q, kind):
 def test_rank_profile_identity_and_zero():
     pen = Pencil(Matrix.identity(F2, 2), Matrix.zeros(F2, 2, 2))
     prof = rank_profile(pen, 1)
-    assert prof.affine_ranks() == (2, 2)
-    assert prof.rank_at_infinity() == 0
+    assert tuple(r for _, r in prof.points[:-1]) == (2, 2)
+    assert prof.points[-1][1] == 0
 
 
 def test_rank_profile_counterexample_q2():
     pen = Pencil(Matrix(F2, [[0, 0], [0, 1]]), Matrix.identity(F2, 2))
     prof = rank_profile(pen, 1)
-    assert prof.affine_ranks() == (1, 1)
-    assert prof.rank_at_infinity() == 2
+    assert tuple(r for _, r in prof.points[:-1]) == (1, 1)
+    assert prof.points[-1][1] == 2
 
 
 def test_rank_profile_cap():
@@ -134,7 +134,7 @@ def test_kernel_image_identity_pair():
 def test_kernel_image_counterexample(q):
     pen = all_elements_diagonal_pencil(q)
     prof = rank_profile(pen, 1)
-    assert prof.affine_ranks() == tuple([q - 1] * q)
+    assert tuple(r for _, r in prof.points[:-1]) == tuple([q - 1] * q)
     rep = kernel_image_check(pen, ext_e=4)
     assert rep.affine_hypothesis_base
     assert not rep.conclusion          # B(ker A) escapes im A
@@ -220,7 +220,7 @@ def test_containment_matches_the_radical_oracle(pair):
     assert rr.rank_b == ki.rank_a == rank(a)
 
     # every candidate max_rank_reduction tries: ker M, and im M exactly when
-    # the span maps ker M into im M, byte for byte the image_basis of M
+    # the span maps ker M into im M, byte for byte the column space of M
     calls, real = [], pencils_mod._kernel_image
 
     def recording(field, m, mats):
@@ -233,8 +233,8 @@ def test_containment_matches_the_radical_oracle(pair):
     for field, m, mats, (w, v) in calls:
         witness = Matrix(field, m)
         assert w == kernel_basis(witness)
-        im = image_basis(witness)
-        absorbed = all(im.contains_vectors(Matrix(field, l).mat_vec(w.basis.T).T)
+        im = Subspace.from_rows(field, witness.data.T)
+        absorbed = all(im.contains_vectors(field_dot(field, l, w.basis.T).T)
                        for l in mats)
         assert (v is not None) == absorbed
         assert v is None or v == im
@@ -281,7 +281,7 @@ def test_max_rank_reduction_certifies_subspace_rank():
         # and the witness pair really absorbs the span
         for m in mats:
             if rep.kernel.dim:
-                mapped = [m.mat_vec(v) for v in rep.kernel.basis]
+                mapped = [field_dot(F2, m.data, v) for v in rep.kernel.basis]
                 assert rep.image.contains_vectors(np.array(mapped))
         done += 1
     assert done >= 30
