@@ -33,7 +33,9 @@ import numpy as np
 from .errors import InputError, capped, json_int
 
 SIZE_CAP = 1 << 20       # largest field order the lab will construct
-FULL_TABLE_MAX = 1 << 10  # dense q x q multiplication table up to this order, e >= 2
+# dense q x q multiplication table up to this order, e >= 2, and for odd p
+# also q x q addition and length-q negation tables; the digit path only above
+FULL_TABLE_MAX = 1 << 10
 # inverse table up to this order; it and the multiplication table are read
 # off a log/exp table that is dropped after construction
 LOG_TABLE_MAX = 1 << 16
@@ -105,12 +107,15 @@ class FieldCtx:
     The *_arr methods operate elementwise on numpy int64 arrays of canonical
     integer encodings and broadcast like ufuncs; they are the only arithmetic
     and back all enumeration kernels.  The scalar methods (add, mul, inv, ...)
-    are the same methods applied to one element.
+    are the same methods applied to one element.  Prime fields add and
+    multiply mod p and GF(2^e) adds by XOR; GF(p^e), e >= 2, reads its sums
+    (odd p), negations (odd p) and products off dense tables up to order
+    FULL_TABLE_MAX, and works on base-p digits above it.
     """
 
     __slots__ = (
         "p", "e", "q", "modulus",
-        "_pw", "_xpow", "_tr", "_inv", "_mul_t", "_char_cache", "_ext_cache",
+        "_pw", "_xpow", "_tr", "_inv", "_mul_t", "_add_t", "_neg_t", "_char_cache", "_ext_cache",
     )
 
     def __init__(self, p: int, e: int):
@@ -138,8 +143,11 @@ class FieldCtx:
             xk = (np.concatenate(([0], xk[:-1])) - xk[-1] * low) % p
         self._xpow = np.array(xpow, dtype=np.int64)
 
-        # mul_arr and inv_arr read the tables, so they exist before being built
-        self._mul_t = self._inv = None
+        # the *_arr methods read the tables, so they exist before being built
+        self._mul_t = self._inv = self._add_t = self._neg_t = None
+        if p > 2 and e > 1 and q <= FULL_TABLE_MAX:  # read off the digit path itself
+            xs = np.arange(q, dtype=np.int64)
+            self._add_t, self._neg_t = self.add_arr(xs[:, None], xs), self.neg_arr(xs)
         if q <= LOG_TABLE_MAX:
             exp = self._exp_table()
             log = np.zeros(q, dtype=np.int64)
@@ -204,13 +212,6 @@ class FieldCtx:
     def trace(self, a: int) -> int:
         return int(self.trace_arr(a))
 
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        """Polynomial-basis digit vector of an element, least significant first."""
-        return tuple(digits(a, self.p, self.e).tolist())
-
-    def elements(self) -> range:
-        return range(self.q)
-
     # -- vectorized API (numpy int64 arrays, broadcasting) ----------------
 
     def add_arr(self, x, y):
@@ -220,7 +221,8 @@ class FieldCtx:
             return x ^ y
         if self.e == 1:
             return (x + y) % self.p
-        x, y = np.broadcast_arrays(x, y)
+        if self._add_t is not None:
+            return self._add_t[x, y]
         s = (digits(x, self.p, self.e) + digits(y, self.p, self.e)) % self.p
         return s @ self._pw
 
@@ -230,6 +232,8 @@ class FieldCtx:
             return x.copy()
         if self.e == 1:
             return (-x) % self.p
+        if self._neg_t is not None:
+            return self._neg_t[x]
         return ((-digits(x, self.p, self.e)) % self.p) @ self._pw
 
     def sub_arr(self, x, y):

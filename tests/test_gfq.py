@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import digitwise_add, frobenius_trace, is_irreducible_oracle, schoolbook_mul
+from trlab import gfq
 from trlab.errors import CapExceeded, InputError
 from trlab.gfq import (FieldCtx, _is_irreducible, descriptor, digits,
                        field_from_descriptor, field_from_order, field_new)
+from trlab.linalg import batch_rank, field_dot
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2), (2, 4), (5, 2)]
 
@@ -167,6 +169,25 @@ def test_mul_and_inv_tables_exhaustive(p, e):
     inv = ctx.inv_arr(np.arange(ctx.q)).tolist()
     assert inv[0] == 0
     assert all(want[a][inv[a]] == 1 for a in range(1, ctx.q))
+    if p > 2:  # the addition and negation tables, on all pairs
+        _check_add_neg_sub(ctx, np.arange(ctx.q), np.arange(ctx.q))
+
+
+def _check_add_neg_sub(ctx, xs, ys):
+    """add_arr, neg_arr and sub_arr on every pair of xs x ys against the
+    digitwise oracle, through (n, 1) x (m,) broadcasting, an int against an
+    array and 0-d inputs to the scalar add."""
+    xs, ys = [int(a) for a in xs], [int(b) for b in ys]
+    add = ctx.add_arr(np.array(xs)[:, None], ys)
+    assert add.tolist() == [[digitwise_add(ctx, a, b) for b in ys] for a in xs]
+    neg = ctx.neg_arr(ys).tolist()
+    assert all(digitwise_add(ctx, b, v) == 0 for b, v in zip(ys, neg))
+    assert ctx.add_arr(ys, neg).tolist() == [0] * len(ys)
+    sub = ctx.sub_arr(np.array(xs)[:, None], ys)
+    assert sub.tolist() == [[digitwise_add(ctx, a, v) for v in neg] for a in xs]
+    assert ctx.add_arr(xs[-1], ys).tolist() == add[-1].tolist()
+    assert ctx.neg_arr(ys[-1]).shape == () and int(ctx.neg_arr(ys[-1])) == neg[-1]
+    assert ctx.add(np.int64(xs[0]), np.array(ys[-1])) == int(add[0, -1])
 
 
 def test_prime_field_multiplies_without_a_table():
@@ -179,17 +200,48 @@ def test_prime_field_multiplies_without_a_table():
     assert (np.arange(1, ctx.q) * ctx.inv_arr(np.arange(1, ctx.q)) % ctx.q == 1).all()
 
 
-@pytest.mark.parametrize("p,e", [(2, 10), (2, 11), (3, 7), (2, 16)])
+def test_add_and_neg_tables_only_for_odd_p_extensions_up_to_full_table_max():
+    # GF(p^e), p odd, e >= 2, q <= 2^10 adds and negates by table; prime
+    # fields work mod p, GF(2^e) by XOR and larger fields on digits
+    big = field_new(3, 6)
+    assert big._add_t.shape == (729, 729) and big._neg_t.shape == (729,)
+    for p, e in [(3, 7), (1009, 1), (2, 4)]:
+        ctx = field_new(p, e)
+        assert ctx._add_t is None and ctx._neg_t is None, (p, e)
+
+
+def test_tabled_fields_never_split_into_digits(monkeypatch):
+    # once GF(9) and GF(81) exist, their arithmetic and the elimination and
+    # contraction kernels over them read tables only
+    f9, f81 = field_new(3, 2), field_new(3, 4)
+
+    def boom(*args):
+        raise AssertionError("digit path reached")
+
+    monkeypatch.setattr(gfq, "digits", boom)
+    for ctx in (f9, f81):
+        xs = np.arange(ctx.q)
+        for op in (ctx.add_arr, ctx.sub_arr, ctx.mul_arr):
+            assert op(xs[:, None], xs).shape == (ctx.q, ctx.q)
+        assert ctx.neg_arr(xs).shape == (ctx.q,)
+    mats = np.random.default_rng(0).integers(0, 81, size=(4, 3, 3))
+    assert batch_rank(f81, field_dot(f81, mats, np.eye(3, dtype=np.int64))).shape == (4,)
+
+
+@pytest.mark.parametrize("p,e", [(2, 10), (3, 6), (31, 2), (2, 11), (3, 7), (2, 16)])
 def test_mul_and_inv_sampled_on_large_fields(p, e):
-    # GF(2^10): the last full table; GF(2^11), GF(3^7): convolution and
-    # the inverse table; GF(2^16): the longest exp table, whose doubling
-    # multiplies by each step as one GF(2)-linear map
+    # GF(2^10), GF(3^6), GF(31^2): full tables (addition and negation too
+    # for odd p); GF(2^11), GF(3^7): convolution, the digit path for
+    # addition and the inverse table; GF(2^16): the longest exp table,
+    # whose doubling multiplies by each step as one GF(2)-linear map
     ctx = field_new(p, e)
     rng = np.random.default_rng(p * 100 + e)
     x = rng.integers(0, ctx.q, size=300).tolist()
     y = rng.integers(1, ctx.q, size=300).tolist()
     assert ctx.mul_arr(x, y).tolist() == [schoolbook_mul(ctx, a, b) for a, b in zip(x, y)]
     assert all(schoolbook_mul(ctx, b, v) == 1 for b, v in zip(y, ctx.inv_arr(y).tolist()))
+    if p > 2:
+        _check_add_neg_sub(ctx, x[:40], y[:40])
 
 
 @pytest.mark.parametrize("p,e", [(3, 11), (2, 17)])
@@ -218,7 +270,7 @@ def test_distributivity_hypothesis(pe, data):
 def test_coeffs_roundtrip():
     ctx = field_new(3, 3)
     for x in range(ctx.q):
-        cs = ctx.coeffs(x)
+        cs = digits(x, 3, 3).tolist()
         assert len(cs) == 3 and all(0 <= c < 3 for c in cs)
         assert sum(c * 3 ** j for j, c in enumerate(cs)) == x
 
@@ -235,7 +287,7 @@ def test_trace_basics():
             y = int(rng.integers(0, ctx.q))
             assert ctx.trace(ctx.add(x, y)) == (ctx.trace(x) + ctx.trace(y)) % p
             assert ctx.trace(ctx.pow(x, p)) == ctx.trace(x)
-        assert set(ctx.trace(x) for x in ctx.elements()) == set(range(p))
+        assert set(ctx.trace(x) for x in range(ctx.q)) == set(range(p))
 
 
 def test_trace_f4_frobenius_sum():

@@ -1,10 +1,10 @@
 """Import layering of the library.
 
 Each module imports only from the layers below it, so every primitive has
-one owner (the field-contraction kernel lives in linalg, digits in gfq),
-and no module defers an import into a function body to dodge a cycle.
-The rank searches share one deepening driver, ranks._deepen, and every size
-cap is decided by one rule in errors.
+one owner (the field-contraction kernel lives in linalg, digits and the
+arithmetic tables in gfq), and no module defers an import into a function
+body to dodge a cycle.  The rank searches share one deepening driver,
+ranks._deepen, and every size cap is decided by one rule in errors.
 """
 
 import ast
@@ -102,6 +102,15 @@ def test_span_members_ranked_by_one_primitive():
         assert not callers & searches, f"a span search calls {name} directly"
     for name in ("span_ranks", "sampled_span"):
         assert searches <= {(mod, fn) for mod in MODULES for fn in _callers(_tree(mod), name)}
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "gfq"])
+def test_field_tables_read_only_in_gfq(name):
+    # the arithmetic tables are a representation choice of gfq; every other
+    # module goes through the *_arr methods
+    read = [n.lineno for n in ast.walk(_tree(name))
+            if isinstance(n, ast.Attribute) and n.attr in {"_add_t", "_neg_t", "_mul_t", "_inv"}]
+    assert not read, f"{name}.py:{read[0]} reads a gfq table"
 
 
 PUBLIC = {
