@@ -124,7 +124,7 @@ def check_suite(p: MultilinearForm, e_max: int = 3,
         raise InputError("the check suite needs at least two slots")
     z = zero_set_count(p, 1, cap=point_cap)
     a = analytic_rank_from_count(z, q)
-    sr = slice_rank_exact(p, cap=search_cap)
+    sr = slice_rank_exact(p, cap=search_cap, base=z)
     if not sr.exact:
         raise CapExceeded("exact slice rank is infeasible at this size; "
                           "the suite does not check against bounds", size=None)
@@ -134,7 +134,8 @@ def check_suite(p: MultilinearForm, e_max: int = 3,
     names, constants = applicable_checks(d, q), suite_constants(d, q)
     outcomes = [
         _le("analytic_le_rank", a, r,
-            "analytic rank is at most the exact slice rank"
+            "analytic rank is at most the exact slice rank, by construction: the search "
+            "starts at the analytic floor (a bad count raises r; the oracle tests guard it)"
             + ("" if d <= 3 else " (an upper bound for the degree-d rank)")),
     ]
     if "rank_le_chain_analytic" in names:  # its constant exists only then

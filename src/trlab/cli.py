@@ -90,7 +90,7 @@ def rank_cmd(tensor, slot, ext_e):
     if ext_e > 1:
         ze = ranks.zero_set_count(rooted, ext_e)
         out["zero_count_ext"] = {"extension_degree": ext_e, "count": ze.count}
-    sr = ranks.slice_rank_exact(p)
+    sr = ranks.slice_rank_exact(p, base=z1)  # the floor is the same from every slot
     sch = ranks.SchmidtRank(sr.value, sr.exact and p.d <= 3)
     out["slice_rank"] = sr.value
     out["slice_rank_exact"] = sr.exact

@@ -12,7 +12,8 @@ Three quantities are computed exactly at desk scale:
   slot, then evaluates each distinct functional at every point of that
   slot: every value is enumerated, none derived from a rank;
 * the exact slice rank, by iterative deepening over codimension
-  compositions, each ranking every subspace tuple in batches.
+  compositions, each ranking every subspace tuple in batches, from the
+  analytic floor up, since a(P) <= slice rank (Lovett 2019; Kazhdan-Ziegler).
 
 _deepen is the one deepening search: the subspace rank of a span is the
 slice search of its (L, n1, n2) stack with the member slot never cut.
@@ -163,6 +164,19 @@ def zero_set_count(p: MultilinearForm, ext_e: int = 1, cap: int = POINT_CAP) -> 
     return ZeroSetCount(count, ext_e, ambient)
 
 
+def _check_base(base: Optional[ZeroSetCount]) -> None:
+    """Refuse a caller's count that is not over the base field."""
+    if base is not None and base.extension_degree != 1:
+        raise InputError(f"the base count must be over the base field, got extension "
+                         f"degree {base.extension_degree}")
+
+
+def _analytic_floor(z: ZeroSetCount, q: int) -> int:
+    """The analytic floor: the least integer r with q^r |Z| >= q^ambient, the
+    same from the count of every slot (d >= 2, so |Z| >= 1)."""
+    return next(r for r in range(z.ambient + 1) if q ** r * z.count >= q ** z.ambient)
+
+
 def analytic_rank_from_count(z: ZeroSetCount, q: int) -> float:
     """a = ambient - log_q |Z(GF(q))| from a count over GF(q); zero iff Z is everything."""
     if z.count == 0:  # only reachable for d = 1 and P nonzero
@@ -278,10 +292,12 @@ def _deepen(ctx: FieldCtx, t: np.ndarray, limits, lower: float, cap: int):
     subspaces of codimension c_i on the slots before the last leave t a
     matrix of rank <= c_last against its last slot, as (r, stacks, index
     tuple, matrix).  Levels run from min(lower, upper) to upper, the least
-    flattening rank of a slot that may be cut (it always hits); compositions
-    in lex order, subspaces in canonical order.  If the projected rank tests,
-    sum over all compositions of prod_{i<d-1} [n_i, n_i - c_i]_q, exceed the
-    cap, returns that number and enumerates nothing."""
+    flattening rank of a slot that may be cut (it always hits), and `lower`
+    (such as the analytic floor) is a proven bound on the value; compositions
+    in lex order, subspaces in canonical order.  If the projected rank tests
+    of those levels, sum over their compositions of prod_{i<d-1}
+    [n_i, n_i - c_i]_q, exceed the cap, returns that number and enumerates
+    nothing."""
     dims = t.shape
     upper = min((rref(Matrix(ctx, np.moveaxis(t, i, 0).reshape(n, -1))).rank
                  for i, n in enumerate(dims) if limits[i]), default=0)
@@ -299,17 +315,24 @@ def _deepen(ctx: FieldCtx, t: np.ndarray, limits, lower: float, cap: int):
     raise RuntimeError("rank search failed to terminate")  # unreachable
 
 
-def slice_rank_exact(p: MultilinearForm, cap: int = SEARCH_CAP) -> SliceRank:
+def slice_rank_exact(p: MultilinearForm, cap: int = SEARCH_CAP,
+                     base: Optional[ZeroSetCount] = None) -> SliceRank:
     """Least sum of slot codimensions over vanishing subspace tuples.
 
     _deepen with every slot cut up to its dimension; the first witness wins,
     its last subspace the left kernel of the matrix that hit.  For d = 2 the
     deepening starts at the least flattening rank, which is the matrix rank
-    that every vanishing pair must reach (rank subadditivity).  Past the
-    cap, a greedy upper bound is returned flagged non-exact.
+    that every vanishing pair must reach (rank subadditivity).  For d >= 3 it
+    starts at the analytic floor of `base` (the caller's count of p at e = 1,
+    of any slot), or of its own count if that ranks at most `cap` matrices,
+    or else at 1.  Past the cap, a greedy upper bound is returned non-exact.
     """
     ctx = p.ctx
-    hit = _deepen(ctx, p.coeffs, p.dims, math.inf if p.d == 2 else 1, cap)
+    _check_base(base)
+    if base is None and p.d >= 3 and within_cap(cap, ctx.q, sum(p.dims[1:-1])):
+        base = zero_set_count(p, 1, cap=cap)
+    lower = math.inf if p.d < 3 else 1 if base is None else _analytic_floor(base, ctx.q)
+    hit = _deepen(ctx, p.coeffs, p.dims, lower, cap)
     if isinstance(hit, int):
         return SliceRank(_greedy_upper(p), None, False)
     r, stacks, idx, mat = hit
@@ -412,9 +435,7 @@ def codim_estimate(p: MultilinearForm, e_max: int, cap: int = POINT_CAP,
         raise InputError(f"e_max must be >= 1, got {e_max}")
     if p.d < 2:
         raise InputError("codimension estimate needs at least two slots")
-    if base is not None and base.extension_degree != 1:
-        raise InputError(f"the base count must be over the base field, got extension "
-                         f"degree {base.extension_degree}")
+    _check_base(base)
     trace = []
     logq = math.log(p.ctx.q)
     ambient = sum(p.dims[1:])

@@ -95,8 +95,9 @@ def test_suite_heuristic_skip_flag():
 
 
 def test_suite_counts_each_extension_once(monkeypatch):
-    # the suite's own e = 1 count is handed to the codim estimate, so each
-    # extension degree is counted once, with the estimate unchanged
+    # the suite's own e = 1 count is handed to the codim estimate and to the
+    # slice search's floor, so each extension degree is counted once, with
+    # the estimate unchanged
     import trlab.checks as C
     import trlab.ranks as R
     p = gen_random(F3, (3, 3, 3), 2)

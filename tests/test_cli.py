@@ -44,6 +44,29 @@ def test_rank_slot_independence(tmp_path):
     assert max(vals) - min(vals) < 1e-9
 
 
+def test_rank_counts_the_base_field_once(tmp_path, monkeypatch):
+    # the --slot count also gives the slice search its floor, which is the
+    # same from every slot, so the output matches the search that counts
+    import trlab.ranks as R
+    p = gen_random(field_new(3, 1), (3, 2, 3), 5)
+    path = _write(tmp_path, "t.json", tensor_to_obj(p))
+    want = R.slice_rank_exact(p)
+    count, seen = R.zero_set_count, []
+
+    def counted(p, e=1, cap=R.POINT_CAP):
+        seen.append(e)
+        return count(p, e, cap)
+
+    monkeypatch.setattr(R, "zero_set_count", counted)
+    for slot in range(3):
+        seen.clear()
+        res = runner.invoke(main, ["rank", path, "--slot", str(slot), "--ext-e", "2"])
+        assert res.exit_code == 0
+        got = json.loads(res.output)
+        assert seen == [1, 2]
+        assert (got["slice_rank"], got["slice_rank_exact"]) == (want.value, True)
+
+
 def test_rank_ext_count(tmp_path):
     res = runner.invoke(main, ["gen", "diagonal", "--dims", "1,1,1", "--q", "2",
                                "-o", str(tmp_path / "d.json")])

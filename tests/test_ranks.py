@@ -15,7 +15,7 @@ from oracles import (_vanishes_on, enumerated_value_histogram, enumerated_zero_s
                      recursive_slice_rank)
 from trlab.errors import CapExceeded, InputError
 from trlab.forms import (MultilinearForm, gen_diagonal, gen_from_matrix,
-                         gen_random, gen_rank_one)
+                         gen_random, gen_rank_one, move_slot_first)
 from trlab.gfq import field_new
 from trlab.linalg import (EXHAUSTIVE_SPAN_CAP, Matrix, all_vectors, gaussian_binomial, rank,
                           rref, subspace_bases)
@@ -464,12 +464,13 @@ def test_slice_rank_greedy_fallback_flags_inexact():
 
 
 def test_slice_rank_cap_boundary():
-    # the same form projects 811 rank tests: levels 1..3 (its least
-    # flattening rank), each composition costing the subspaces it tries on
+    # the same form projects 562 rank tests: level 3 alone, since its
+    # analytic floor (from 27 matrix ranks, within either cap) is its least
+    # flattening rank 3, each composition costing the subspaces it tries on
     # the first two slots
     p = gen_random(F3, (3, 3, 3), 7)
-    at_cap = slice_rank_exact(p, cap=811)
-    below = slice_rank_exact(p, cap=810)
+    at_cap = slice_rank_exact(p, cap=562)
+    below = slice_rank_exact(p, cap=561)
     assert at_cap.exact and at_cap == slice_rank_exact(p)
     assert not below.exact and below.witness is None
 
@@ -568,6 +569,117 @@ def test_bilinear_slice_rank_ranks_its_matrix_twice(monkeypatch):
     assert calls == [(3, 3), (3, 3)]
     assert (s.value, s.exact) == (value, True)
     assert all(np.array_equal(w.basis, b) for w, b in zip(s.witness.subspaces, bases))
+
+
+def _floor(p) -> int:
+    import trlab.ranks as R
+    return R._analytic_floor(zero_set_count(p, 1), p.ctx.q)
+
+
+@st.composite
+def _floor_cases(draw):
+    """(p, e, dims, kind, seed): d = 3, 4 over GF(2), GF(3), GF(4)."""
+    p, e = draw(st.sampled_from([(2, 1), (3, 1), (2, 2)]))
+    d = draw(st.integers(3, 4))
+    top = 3 if d == 3 or p ** e == 2 else 2  # keeps the per-tuple reference quick
+    dims = tuple(draw(st.integers(1, top)) for _ in range(d))
+    return p, e, dims, draw(st.sampled_from(SLICE_KINDS)), draw(st.integers(0, 2 ** 31))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_floor_cases())
+@example(case=(2, 1, (3, 3, 3), "zero", 0))
+@example(case=(2, 2, (3, 3, 3), "dense", 1))         # GF(4)
+@example(case=(3, 1, (2, 2, 2, 2), "two slices", 3))  # d = 4
+def test_analytic_floor_never_exceeds_the_slice_rank(case):
+    # a(P) <= slice rank, so the search may start at the floor; the oracle
+    # deepens from 0, so a count that is too small would show here
+    p_char, e, dims, kind, seed = case
+    form = _slice_form(field_new(p_char, e), dims, kind, seed)
+    floor = _floor(form)
+    value, _ = recursive_slice_rank(form)
+    assert 0 <= floor <= value
+    assert floor >= analytic_rank_count(form) - 1e-9
+    # the bias, hence the floor, does not depend on the distinguished slot
+    assert all(_floor(move_slot_first(form, s)) == floor for s in range(form.d))
+
+
+def test_analytic_floor_equality_and_unit_tensor_cases():
+    import trlab.ranks as R
+    for ctx in (F2, F3, field_new(2, 2)):
+        for d in (2, 3, 4):
+            zero = MultilinearForm(ctx, np.zeros((2,) * d, dtype=np.int64))
+            assert _floor(zero) == 0
+        rng = np.random.default_rng(113)
+        for dims in ((2, 2, 3), (3, 2, 2, 2)):
+            one = gen_rank_one(ctx, [np.eye(n, dtype=np.int64)[int(rng.integers(n))] for n in dims])
+            assert _floor(one) == 1 == slice_rank_exact(one).value
+        for _ in range(5):  # a bilinear form's floor is its matrix rank
+            m = Matrix(ctx, rng.integers(0, ctx.q, size=(3, 4), dtype=np.int64))
+            assert _floor(gen_from_matrix(m)) == rank(m)
+    for ctx in (F2, F3):
+        c = -math.log(1 - (1 - 1 / ctx.q) ** 2) / math.log(ctx.q)  # a of a rank-one trilinear form
+        for n in range(1, 5):
+            unit = gen_diagonal(ctx, n, 3)
+            assert _floor(unit) == math.ceil(n * c)
+            assert slice_rank_exact(unit).value == n
+            if ctx.q == 2 and n >= 2:
+                assert _floor(unit) < n
+    # integers, not a float ceiling: |Z| = q^k exactly gives ambient - k
+    assert R._analytic_floor(R.ZeroSetCount(3 ** 4, 1, 6), 3) == 2
+    assert R._analytic_floor(R.ZeroSetCount(3 ** 4 - 1, 1, 6), 3) == 3
+
+
+def test_slice_search_runs_only_the_levels_from_the_floor():
+    # on GF(5) 3x3x3 forms the floor is the value 3, so every composition
+    # searched is of level 3, and the witness is the one the search from
+    # level 1 finds first
+    import trlab.ranks as R
+    seen, first = [], R._first_vanishing
+
+    def record(ctx, t, stacks, c_last):
+        seen.append(tuple(b.shape[2] - b.shape[1] for b in stacks) + (c_last,))
+        return first(ctx, t, stacks, c_last)
+
+    for seed in range(3):
+        p = gen_random(F5, (3, 3, 3), seed)
+        z = zero_set_count(p, 1)
+        old = R._deepen(F5, p.coeffs, p.dims, 1, R.SEARCH_CAP)
+        seen.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(R, "_first_vanishing", record)
+            s = slice_rank_exact(p, base=z)
+        assert seen and all(sum(c) == 3 for c in seen)
+        assert seen == R._compositions(3, p.dims)[:len(seen)]
+        assert s.value == old[0] == 3 and s.exact
+        assert all(np.array_equal(w.basis, b[i])
+                   for w, b, i in zip(s.witness.subspaces, old[1], old[2]))
+
+
+def test_slice_rank_counts_zeros_only_without_a_base():
+    import trlab.ranks as R
+    p = gen_random(F3, (3, 3, 3), 7)
+    z, want = zero_set_count(p, 1), slice_rank_exact(p)
+    counted = []
+
+    def count(p, e=1, cap=R.POINT_CAP):
+        counted.append(e)
+        return zero_set_count(p, e, cap)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the base count was counted again")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(R, "zero_set_count", refuse)
+        assert slice_rank_exact(p, base=z) == want
+        # 27 matrix ranks pass a cap of 26: no count, the search starts at 1
+        assert not slice_rank_exact(p, cap=26).exact
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(R, "zero_set_count", count)
+        assert slice_rank_exact(p) == want
+    assert counted == [1]
+    with pytest.raises(InputError, match="extension degree 2"):
+        slice_rank_exact(p, base=zero_set_count(p, 2))
 
 
 def test_schmidt_rank_flags():
