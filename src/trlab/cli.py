@@ -249,7 +249,7 @@ def gowers_cmd(poly, degree):
 @click.option("-o", "--out", type=click.Path(), required=True, help="CSV output path.")
 @click.option("--summary", type=click.Path(), default=None, help="JSON summary path.")
 @click.option("--workers", type=click.IntRange(min=1), default=None,
-              help="Worker threads (defaults to the config value).")
+              help="Accepted and validated; every form runs in one thread.")
 @_lab_errors
 def survey_cmd(config, out, summary, workers):
     """Run a seeded ensemble survey from a JSON config."""

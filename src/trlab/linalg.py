@@ -102,14 +102,10 @@ def field_dot(ctx: FieldCtx, x, y) -> np.ndarray:
     return out
 
 
-def all_vectors(ctx: FieldCtx, n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Vectors of GF(q)^n with encodings in [start, stop), one per row.
-
-    Row r encodes the vector whose j-th coordinate is digit j of r in base q.
-    """
-    if stop is None:
-        stop = ctx.q ** n
-    return digits(np.arange(start, stop), ctx.q, n)
+def all_vectors(ctx: FieldCtx, n: int) -> np.ndarray:
+    """Every vector of GF(q)^n, one per row: row r is the vector whose j-th
+    coordinate is digit j of r in base q."""
+    return digits(np.arange(ctx.q ** n), ctx.q, n)
 
 
 def span_coefficients(ctx: FieldCtx, dim: int) -> Optional[np.ndarray]:

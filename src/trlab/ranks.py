@@ -5,7 +5,9 @@ Three quantities are computed exactly at desk scale:
 * the zero-set count |{(v2..vd) : P(., v2..vd) = 0 as a functional}| over
   the base field or an extension, as the sum of Q^(n_d - rank M) over the
   matrices M left by contracting the middle slots, Q the counting field's
-  order (the bias identity);
+  order (the bias identity), ranked once per tuple of line representatives:
+  |Z| = Q^n_d (Q^N - prod_i (Q^n_i - 1)) + (Q - 1)^(d-2) sum_reps Q^(n_d - rank M)
+  with N = n2 + ... + n_{d-1}, and POINT_CAP bounding Q^N;
 * the analytic rank, both from that count and independently from the
   normalized character sum over the whole domain, whose value histogram
   counts the prefixes (x_1..x_{d-1}) per functional they leave on the last
@@ -35,7 +37,7 @@ import numpy as np
 from .errors import InputError, capped, within_cap
 from .forms import MultilinearForm, restrict_axis_arr
 from .gfq import FieldCtx, digits
-from .linalg import (GRID_BUDGET, Matrix, Subspace, all_vectors, batch_rank, field_dot,
+from .linalg import (GRID_BUDGET, Matrix, Subspace, batch_rank, field_dot,
                      gaussian_binomial, kernel_basis, left_kernel_basis, rref, sampled_span,
                      span_coefficients, span_ranks, stack_matrices, subspace_bases)
 
@@ -44,15 +46,21 @@ SEARCH_CAP = 5 * 10 ** 6  # refusal bound on subspace-tuple rank tests
 
 
 class _AllVectors:
-    """Every vector of GF(q)^n as a (q^n, 1, n) stack, built slice by slice."""
+    """Every vector of GF(q)^n as a (q^n, 1, n) stack, built slice by slice;
+    with lines=True one per line, the vector whose last nonzero coordinate is
+    1: the codes in [q^k, 2 q^k) for k < n, in order, (q^n - 1)/(q - 1) rows."""
 
-    def __init__(self, ctx: FieldCtx, n: int):
+    def __init__(self, ctx: FieldCtx, n: int, lines: bool = False):
         self.ctx, self.n = ctx, n
-        self.shape = (ctx.q ** n, 1, n)
+        # code range k starts at code heads[k] and row starts[k]
+        self.heads = ctx.q ** np.arange(n, dtype=np.int64) if lines else np.zeros(1, np.int64)
+        self.starts = np.cumsum(self.heads) - self.heads
+        self.shape = ((ctx.q ** n - 1) // (ctx.q - 1) if lines else ctx.q ** n, 1, n)
 
     def __getitem__(self, sl: slice) -> np.ndarray:
-        start, stop, _ = sl.indices(self.shape[0])
-        return all_vectors(self.ctx, self.n, start, stop)[:, None, :]
+        rows = np.arange(*sl.indices(self.shape[0])[:2])
+        k = np.searchsorted(self.starts, rows, side="right") - 1
+        return digits(self.heads[k] + rows - self.starts[k], self.ctx.q, self.n)[:, None, :]
 
 
 def _grid_blocks(ctx: FieldCtx, t: np.ndarray, stacks):
@@ -142,8 +150,11 @@ def zero_set_count(p: MultilinearForm, ext_e: int = 1, cap: int = POINT_CAP) -> 
 
     For d >= 2, |Z| = sum over (v2..v_{d-1}) of Q^(n_d - rank M), where M is
     the n1 x n_d matrix left after contracting slots 2..d-1: the tuples with
-    a given middle part are the kernel of M.  The cap bounds the number of
-    matrices ranked, Q^(n2 + ... + n_{d-1}).
+    a given middle part are the kernel of M.  M is linear in each middle
+    vector: a tuple with a zero vector leaves M = 0, and scaling keeps rank M,
+    so only tuples of line representatives are ranked, prod_i (Q^n_i - 1)/(Q - 1)
+    matrices, and |Z| = Q^n_d (Q^N - prod_i (Q^n_i - 1)) + (Q - 1)^(d-2) *
+    (their sum), N = n2 + ... + n_{d-1}.  The cap bounds Q^N.
     """
     if ext_e < 1:
         raise InputError(f"extension degree must be >= 1, got {ext_e}")
@@ -156,11 +167,14 @@ def zero_set_count(p: MultilinearForm, ext_e: int = 1, cap: int = POINT_CAP) -> 
     if p.d == 1:
         return ZeroSetCount(1 if not coeffs.any() else 0, ext_e, 0)
     hist = np.zeros(dims[-1] + 1, dtype=np.int64)
-    mids = [_AllVectors(ext, n) for n in dims[1:-1]]
+    mids = [_AllVectors(ext, n, lines=True) for n in dims[1:-1]]
     for block in _grid_blocks(ext, np.moveaxis(coeffs, -1, 1), mids):
         mats = block.reshape(len(block), dims[0], dims[-1])
         hist += np.bincount(batch_rank(ext, mats), minlength=hist.size)
-    count = sum(int(c) * big_q ** (dims[-1] - r) for r, c in enumerate(hist))
+    reps = sum(int(c) * big_q ** (dims[-1] - r) for r, c in enumerate(hist))
+    nonzero = math.prod(big_q ** n - 1 for n in dims[1:-1])  # tuples with no zero vector
+    count = (big_q ** dims[-1] * (big_q ** sum(dims[1:-1]) - nonzero)
+             + (big_q - 1) ** (p.d - 2) * reps)
     return ZeroSetCount(count, ext_e, ambient)
 
 
@@ -287,7 +301,7 @@ def _greedy_upper(p: MultilinearForm) -> int:
     return total
 
 
-def _deepen(ctx: FieldCtx, t: np.ndarray, limits, lower: float, cap: int):
+def _deepen(ctx: FieldCtx, t: np.ndarray, limits, lower, cap: int):
     """First hit of the least level r = sum(c), c_i <= limits[i], at which
     subspaces of codimension c_i on the slots before the last leave t a
     matrix of rank <= c_last against its last slot, as (r, stacks, index
@@ -297,15 +311,25 @@ def _deepen(ctx: FieldCtx, t: np.ndarray, limits, lower: float, cap: int):
     in lex order, subspaces in canonical order.  If the projected rank tests
     of those levels, sum over their compositions of prod_{i<d-1}
     [n_i, n_i - c_i]_q, exceed the cap, returns that number and enumerates
-    nothing."""
+    nothing.  `lower` may be a callable (a count behind the floor), called
+    only once level upper alone fits the cap; that level's cost is then
+    returned if it does not."""
     dims = t.shape
     upper = min((rref(Matrix(ctx, np.moveaxis(t, i, 0).reshape(n, -1))).rank
                  for i, n in enumerate(dims) if limits[i]), default=0)
+
+    def cost(levels) -> int:
+        return sum(math.prod(gaussian_binomial(n, n - c, ctx.q) for n, c in zip(dims[:-1], comp))
+                   for _, comps in levels for comp in comps)
+    if callable(lower):  # level upper alone first, so a refused search takes no count
+        top = cost([(upper, _compositions(upper, limits))])
+        if top > cap:
+            return top
+        lower = lower()
     levels = [(r, _compositions(r, limits)) for r in range(min(lower, upper), upper + 1)]
-    cost = sum(math.prod(gaussian_binomial(n, n - c, ctx.q) for n, c in zip(dims[:-1], comp))
-               for _, comps in levels for comp in comps)
-    if cost > cap:
-        return cost
+    total = cost(levels)
+    if total > cap:
+        return total
     for r, comps in levels:
         for comp in comps:
             stacks = [subspace_bases(ctx, n, n - c) for n, c in zip(dims[:-1], comp)]
@@ -324,15 +348,20 @@ def slice_rank_exact(p: MultilinearForm, cap: int = SEARCH_CAP,
     deepening starts at the least flattening rank, which is the matrix rank
     that every vanishing pair must reach (rank subadditivity).  For d >= 3 it
     starts at the analytic floor of `base` (the caller's count of p at e = 1,
-    of any slot), or of its own count if that ranks at most `cap` matrices,
-    or else at 1.  Past the cap, a greedy upper bound is returned non-exact.
+    of any slot), or of its own count if that fits `cap` and level upper
+    alone does, or else at 1.  Past the cap, a greedy upper bound is returned
+    non-exact.
     """
     ctx = p.ctx
     _check_base(base)
-    if base is None and p.d >= 3 and within_cap(cap, ctx.q, sum(p.dims[1:-1])):
-        base = zero_set_count(p, 1, cap=cap)
-    lower = math.inf if p.d < 3 else 1 if base is None else _analytic_floor(base, ctx.q)
-    hit = _deepen(ctx, p.coeffs, p.dims, lower, cap)
+
+    def floor() -> int:  # asked for by _deepen only once level upper fits the cap
+        z = base
+        if z is None and within_cap(cap, ctx.q, sum(p.dims[1:-1])):
+            z = zero_set_count(p, 1, cap=cap)
+        return 1 if z is None else _analytic_floor(z, ctx.q)
+
+    hit = _deepen(ctx, p.coeffs, p.dims, math.inf if p.d < 3 else floor, cap)
     if isinstance(hit, int):
         return SliceRank(_greedy_upper(p), None, False)
     r, stacks, idx, mat = hit

@@ -1,16 +1,16 @@
 """Seeded ensemble surveys: run the check suite per instance, emit CSV + JSON.
 
-Output is deterministic for a fixed (seed, config) regardless of the
-worker count: instances are independent, rows are written in index order
-as they finish, and all numbers are exact integers or fixed-format floats.
+Output is deterministic for a fixed (seed, config): instances run one at a
+time in the caller's thread and rows are written in index order as they
+finish, and all numbers are exact integers or fixed-format floats.  The
+`workers` option is validated and accepted, but changes neither the output
+nor the work: a thread pool ran slower than this loop.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, nullcontext
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -24,7 +24,7 @@ from .ranks import POINT_CAP, SEARCH_CAP
 
 CSV_VERSION = "tensor-rank-lab v1"
 BASE_COLUMNS = ("seed", "q", "dims", "d", "a", "r", "r_exact", "g_hat")
-WORKER_CAP = 64  # threads a survey may start
+WORKER_CAP = 64  # bound on the workers option
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class SurveyConfig:
     seed: int
     exhaustive: bool = False
     e_max: int = 3
-    workers: int = 1
+    workers: int = 1  # validated, no effect (see the module docstring)
     checks: Optional[tuple[str, ...]] = None  # None = all applicable
     point_cap: int = POINT_CAP
     search_cap: int = SEARCH_CAP
@@ -131,21 +131,10 @@ def _row(cfg: SurveyConfig, seed_label: int, rep: RankReport,
 
 def _reports(cfg: SurveyConfig):
     """Yield (seed_label, RankReport) in index order, drawing the forms lazily
-    with at most 2 * cfg.workers in flight; closing cancels those not started."""
-    pool = ThreadPoolExecutor(max_workers=cfg.workers)
-    window = deque()
-    try:
-        for seed_label, form in _instances(cfg):
-            window.append((seed_label, pool.submit(
-                check_suite, form, e_max=cfg.e_max,
-                point_cap=cfg.point_cap, search_cap=cfg.search_cap)))
-            if len(window) == 2 * cfg.workers:
-                label, fut = window.popleft()
-                yield label, fut.result()
-        for label, fut in window:
-            yield label, fut.result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+    and running each in the caller's thread, whatever cfg.workers is."""
+    for seed_label, form in _instances(cfg):
+        yield seed_label, check_suite(form, e_max=cfg.e_max, point_cap=cfg.point_cap,
+                                      search_cap=cfg.search_cap)
 
 
 def run_survey(cfg: SurveyConfig, csv_path, summary_path=None,

@@ -127,6 +127,10 @@ def _zero_count_cases(draw):
 @example(case=(3, 1, (2, 2, 2, 2), 1, 13))     # d = 4, recursive chunking at budget 16
 @example(case=(2, 2, (2, 1, 1), 3, 9))         # GF(4) -> GF(64)
 @example(case=(3, 2, (3, 3, 2), 1, None))      # zero form over GF(9)
+@example(case=(3, 1, (2, 2, 1, 2), 2, 23))     # d = 4, GF(9): budget-16 blocks straddle code ranges
+@example(case=(2, 1, (1, 2, 2, 1), 2, 21))     # d = 4, GF(4): and chunks of the first stack do
+@example(case=(2, 1, (2, 2, 2, 2), 1, None))   # d = 4, zero form
+@example(case=(5, 1, (2, 1, 2, 2), 1, 17))     # d = 4, a middle slot of dimension 1
 def test_zero_count_matches_oracles(case):
     import trlab.ranks as R
     p_char, e0, dims, ext_e, seed = case
@@ -157,6 +161,78 @@ def test_zero_count_cap_bounds_ranked_matrices():
     assert exc.value.size == (5 ** 9) ** 3
     # a bilinear count is one rank, whatever the field
     assert zero_set_count(gen_random(F3, (3, 4), 2), 2, cap=1).count >= 1
+
+
+@pytest.mark.parametrize("p_char,e", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+def test_line_vectors_hold_one_representative_per_line(p_char, e):
+    # every nonzero vector is a nonzero multiple of exactly one representative,
+    # whose last nonzero coordinate is 1, and slices are rows of the stack
+    import trlab.ranks as R
+    ctx = field_new(p_char, e)
+    q = ctx.q
+    place = q ** np.arange(4, dtype=np.int64)
+    for n in range(1, 5):
+        stack = R._AllVectors(ctx, n, lines=True)
+        reps = stack[:][:, 0, :]
+        assert stack.shape == ((q ** n - 1) // (q - 1), 1, n) == (len(reps), 1, n)
+        assert all(v[np.flatnonzero(v)[-1]] == 1 for v in reps)
+        multiples = ctx.mul_arr(np.arange(1, q)[:, None, None], reps[None])
+        codes = (multiples @ place[:n]).ravel()
+        assert np.array_equal(np.sort(codes), np.arange(1, q ** n))
+        for a, b in itertools.combinations(range(0, len(reps) + 1, max(1, len(reps) // 7)), 2):
+            assert np.array_equal(stack[a:b][:, 0, :], reps[a:b])
+
+
+@pytest.mark.parametrize("ctx,dims,e,want", [
+    (F3, (3, 3, 3), 2, 91), (F3, (3, 3, 3), 1, 13), (F5, (3, 3, 3), 1, 31),
+    (F2, (4, 4, 4), 1, 15), (F2, (2, 2, 3, 2), 2, 105), (F3, (3, 4), 2, 1),
+])
+def test_zero_count_ranks_one_matrix_per_line_tuple(ctx, dims, e, want, monkeypatch):
+    # prod_i (Q^n_i - 1)/(Q - 1) over the middle slots, 91 for F3 3x3x3 at e = 2
+    import trlab.ranks as R
+    seen, rank_of = [], R.batch_rank
+
+    def counted(c, mats):
+        seen.append(len(mats))
+        return rank_of(c, mats)
+
+    big_q = ctx.q ** e
+    assert want == math.prod((big_q ** n - 1) // (big_q - 1) for n in dims[1:-1])
+    p = gen_random(ctx, dims, 3)
+    monkeypatch.setattr(R, "batch_rank", counted)
+    assert zero_set_count(p, e).count == enumerated_zero_set_count(p, e)
+    assert sum(seen) == want
+
+
+@st.composite
+def _cross_route_cases(draw):
+    """(p, e, dims, seed): d = 2..4 over GF(2), GF(3), GF(4), GF(5), GF(9),
+    q^(n1+...+nd) within the enumeration oracle's grid; seed None is the zero form."""
+    p, e = draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]))
+    top = int(math.log(ORACLE_GRID) / math.log(p ** e) + 1e-9)
+    d = draw(st.integers(2, 4))
+    dims = []
+    for i in range(d):
+        dims.append(draw(st.integers(1, min(3, top - sum(dims) - (d - 1 - i)))))
+    return p, e, tuple(dims), draw(st.none() | st.integers(0, 2 ** 31))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_cross_route_cases())
+@example(case=(3, 2, (2, 2, 1), None))       # zero form over GF(9)
+@example(case=(2, 1, (2, 2, 2, 2), 5))       # d = 4
+def test_value_histogram_and_zero_count_agree_exactly(case):
+    # summing psi(P) over slot 0 leaves q^n1 [functional zero], and h is
+    # constant on nonzero values, so h[0] - h[c] = q^n1 |Z| for every c != 0:
+    # the histogram ranks no matrix, so this checks the closed-form term
+    import trlab.ranks as R
+    p_char, e, dims, seed = case
+    ctx = field_new(p_char, e)
+    p = (MultilinearForm(ctx, np.zeros(dims, dtype=np.int64)) if seed is None
+         else gen_random(ctx, dims, seed))
+    h = R._value_histogram(p).tolist()
+    z = zero_set_count(p).count
+    assert all(h[0] - h[c] == ctx.q ** dims[0] * z for c in range(1, ctx.q))
 
 
 def test_point_caps_compare_the_exponent_before_the_power():
@@ -682,6 +758,21 @@ def test_slice_rank_counts_zeros_only_without_a_base():
         slice_rank_exact(p, base=zero_set_count(p, 2))
 
 
+@pytest.mark.parametrize("ctx,dims", [(field_new(7, 1), (4, 4, 4)), (F5, (5, 5, 5))])
+def test_slice_rank_skips_the_count_when_level_upper_is_refused(ctx, dims, monkeypatch):
+    # level upper alone passes SEARCH_CAP here, so the greedy bound is
+    # returned without counting the zero set for a floor
+    import trlab.ranks as R
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("counted the zero set for a refused search")
+
+    forms = [gen_random(ctx, dims, seed) for seed in range(3)]
+    monkeypatch.setattr(R, "zero_set_count", refuse)
+    for p in forms:
+        assert slice_rank_exact(p) == (len(greedy_hyperplanes(p)), None, False)
+
+
 def test_schmidt_rank_flags():
     assert schmidt_rank(MultilinearForm(F2, np.zeros((2, 2), dtype=np.int64))) == (0, True)
     assert schmidt_rank(gen_diagonal(F2, 2, 3)) == (2, True)
@@ -761,6 +852,11 @@ def test_subspace_rank_cap_boundary():
         subspace_rank_exact(mats, cap=cost - 1)
     assert exc.value.size == cost
     assert subspace_rank_exact(mats, cap=cost) == 2  # codim 1 on each side
+    # below level 2 alone (27 tests) the refusal still reports every level
+    top = sum(gaussian_binomial(n1, n1 - c1, 3) for c1 in range(0, 3))
+    with pytest.raises(CapExceeded) as exc:
+        subspace_rank_exact(mats, cap=top - 1)
+    assert (top, exc.value.size) == (27, cost)
 
 
 def _inverse(ctx, g: Matrix) -> np.ndarray:

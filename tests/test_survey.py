@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import threading
 
 import pytest
 from click.testing import CliRunner
@@ -69,6 +70,22 @@ def test_survey_thread_count_invariance(tmp_path):
         run_survey(_cfg(count=8), out, workers=workers)
         blobs[workers] = out.read_bytes()
     assert blobs[1] == blobs[4]
+
+
+def _no_thread(*a, **k):
+    raise AssertionError("a thread was started")
+
+
+def test_survey_starts_no_thread(tmp_path, monkeypatch):
+    # every worker count runs in the caller's thread, to the same CSV and
+    # summary bytes as one worker
+    monkeypatch.setattr(threading.Thread, "start", _no_thread)
+    paths = {w: (tmp_path / f"w{w}.csv", tmp_path / f"w{w}.json") for w in (1, 2, 4)}
+    for w, (out, summary) in paths.items():
+        run_survey(_cfg(count=8), out, summary_path=summary, workers=w)
+    for w in (2, 4):
+        for a, b in zip(paths[1], paths[w]):
+            assert a.read_bytes() == b.read_bytes()
 
 
 @pytest.mark.parametrize("workers", [0, -1])
@@ -298,9 +315,7 @@ def test_survey_check_columns_match_applicability(tmp_path):
 
 
 def test_workers_bounded_before_any_thread_or_file(tmp_path, monkeypatch):
-    def no_pool(*a, **k):
-        raise AssertionError("a thread pool was constructed")
-    monkeypatch.setattr(survey_mod, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(threading.Thread, "start", _no_thread)
     with pytest.raises(CapExceeded) as exc:
         _cfg(workers=10 ** 6)
     assert exc.value.size == 10 ** 6
