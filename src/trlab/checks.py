@@ -1,16 +1,20 @@
 """The inequality suite for a single form, and the uniformity-norm identity.
 
-Every comparison is a named CheckOutcome with an explicit tolerance.
-Proven inequalities must never fail on exact inputs; a failure there is an
-implementation bug.  Checks that rely on the extension-count codimension
-estimate are flagged heuristic: the estimator, not the statement, may be
-wrong on small fields.
+Every comparison is a named CheckOutcome with an explicit tolerance.  One
+table, _SUITE, decides which checks exist, their order, where each applies
+and its class, and ALL_CHECKS, PROVEN_CHECKS, RECORDED_CHECKS and
+applicable_checks are read off it.  A proven inequality must never fail on
+exact inputs; a failure there is an implementation bug.  A recorded one is
+counted, not trusted.  A heuristic one rests on the extension-count
+codimension estimate: the estimator, not the statement, may be wrong on
+small fields.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -25,12 +29,43 @@ from .ranks import (GRID_BUDGET, POINT_CAP, SEARCH_CAP, SchmidtRank,
 TOLERANCE = 1e-9
 HEURISTIC_POINT_CAP = 1 << 22  # per-extension budget for the codim estimate
 
-# column/name registry; order is the fixed CSV order
-PROVEN_CHECKS = ("analytic_le_rank", "rank_le_chain_analytic")
-RECORDED_CHECKS = ("rank_le_triple_analytic",)
-HEURISTIC_CHECKS = ("codim_gap_le_analytic", "zero_count_le_rough_bound",
-                    "rank_le_triple_codim")
-ALL_CHECKS = PROVEN_CHECKS + RECORDED_CHECKS + HEURISTIC_CHECKS
+# The suite, in its fixed CSV order: name -> (class, whether it applies at
+# (d, q), its sides left <= right from the form's facts f, note).  The facts
+# are a, r (exact slice rank), g (estimated codim), z (the count), q and d.
+_SUITE = {
+    "analytic_le_rank": (
+        "proven", lambda d, q: True, lambda f: (f.a, f.r),
+        "analytic rank is at most the exact slice rank, by construction: the search "
+        "starts at the analytic floor (a bad count raises r; the oracle tests guard it); "
+        "for d > 3 r is an upper bound for the degree-d rank"),
+    # 3/(1 - log_q 3) is positive only for q > 3
+    "rank_le_chain_analytic": (
+        "proven", lambda d, q: d == 3 and q > 3,
+        lambda f: (f.r, 3.0 / (1.0 - math.log(3) / math.log(f.q)) * f.a),
+        "trilinear rank at most 3/(1-log_q 3) times analytic rank; constant chains "
+        "the closure codim bound (2) with the closure rank inflation (3/2) and the "
+        "point-count gap"),
+    "rank_le_triple_analytic": (
+        "recorded", lambda d, q: d == 3 and q > 3, lambda f: (f.r, 3.0 * f.a),
+        "flat variant: trilinear rank at most 3 times analytic rank "
+        "(recorded independently of the chained constant)"),
+    "codim_gap_le_analytic": (
+        "heuristic", lambda d, q: True,
+        lambda f: (f.g * (1.0 - math.log(f.d) / math.log(f.q)), f.a),
+        "analytic rank at least (estimated codim) * (1 - log_q d); "
+        "heuristic through the codim estimate"),
+    "zero_count_le_rough_bound": (
+        "heuristic", lambda d, q: True,
+        lambda f: (float(f.z.count), float(f.d) ** f.g * float(f.q) ** (f.z.ambient - f.g)),
+        "point count at most d^g * q^(ambient-g); heuristic through the codim estimate"),
+    "rank_le_triple_codim": (
+        "heuristic", lambda d, q: d == 3, lambda f: (f.r, 3.0 * f.g),
+        "trilinear rank at most 3 * estimated codim (closure codim bound times "
+        "closure rank inflation); heuristic"),
+}
+ALL_CHECKS = tuple(_SUITE)
+PROVEN_CHECKS = tuple(n for n, (kind, *_) in _SUITE.items() if kind == "proven")
+RECORDED_CHECKS = tuple(n for n, (kind, *_) in _SUITE.items() if kind == "recorded")
 
 
 @dataclass(frozen=True)
@@ -60,44 +95,16 @@ def _eq(name, left, right, note, heuristic=False, tol=TOLERANCE):
 
 def applicable_checks(d: int, q: int) -> tuple[str, ...]:
     """Check names the suite will emit for a given arity and field order."""
-    names = ["analytic_le_rank"]
-    if d == 3 and q > 3:
-        names += ["rank_le_chain_analytic", "rank_le_triple_analytic"]
-    names += ["codim_gap_le_analytic", "zero_count_le_rough_bound"]
-    if d == 3:
-        names.append("rank_le_triple_codim")
-    return tuple(names)
-
-
-def suite_constants(d: int, q: int) -> dict[str, Optional[float]]:
-    """Constants the suite uses; entries for unknown regimes stay None."""
-    if d == 2:
-        return {"rank_ratio_exact": 1.0, "subspace_pair_factor": 2.0}
-    if d == 3:
-        chain = 3.0 / (1.0 - math.log(3) / math.log(q)) if q > 3 else None
-        return {
-            "closure_codim_factor": 2.0,   # rank <= 2 * codim over the closure
-            "closure_rank_factor": 1.5,    # base rank <= 1.5 * closure rank
-            "rank_ratio_flat": 3.0,
-            "rank_ratio_chain": chain,
-        }
-    return {"closure_codim_factor": None, "closure_rank_factor": None,
-            "rank_ratio_flat": None, "rank_ratio_chain": None}
+    return tuple(n for n, (_, applies, *_) in _SUITE.items() if applies(d, q))
 
 
 @dataclass(frozen=True)
 class RankReport:
-    q: int
-    d: int
-    dims: tuple[int, ...]
     analytic_rank: float
-    slice_rank: int
     schmidt: SchmidtRank
     zero_count: int
-    ambient: int
     g_hat: Optional[int]
     g_interval: tuple[int, int]
-    constants: dict[str, Optional[float]]
     outcomes: tuple[CheckOutcome, ...]
     heuristics_skipped: bool
 
@@ -116,10 +123,11 @@ def check_suite(p: MultilinearForm, e_max: int = 3,
     """Run every applicable named inequality on one form, exactly.
 
     Requires the exact slice rank to be feasible at this size; raises
-    CapExceeded otherwise rather than checking against a mere bound.
+    CapExceeded otherwise rather than checking against a mere bound.  The
+    heuristic checks are skipped when the codim estimate is ambiguous or
+    past its cap.
     """
-    ctx = p.ctx
-    q, d, dims = ctx.q, p.d, p.dims
+    q, d = p.ctx.q, p.d
     if d < 2:
         raise InputError("the check suite needs at least two slots")
     z = zero_set_count(p, 1, cap=point_cap)
@@ -129,51 +137,18 @@ def check_suite(p: MultilinearForm, e_max: int = 3,
         raise CapExceeded("exact slice rank is infeasible at this size; "
                           "the suite does not check against bounds", size=None)
     sch = SchmidtRank(sr.value, d <= 3)
-    r = sch.value
-    # applicable_checks decides which outcomes are emitted, in its order
-    names, constants = applicable_checks(d, q), suite_constants(d, q)
-    outcomes = [
-        _le("analytic_le_rank", a, r,
-            "analytic rank is at most the exact slice rank, by construction: the search "
-            "starts at the analytic floor (a bad count raises r; the oracle tests guard it)"
-            + ("" if d <= 3 else " (an upper bound for the degree-d rank)")),
-    ]
-    if "rank_le_chain_analytic" in names:  # its constant exists only then
-        outcomes.append(_le(
-            "rank_le_chain_analytic", r, constants["rank_ratio_chain"] * a,
-            "trilinear rank at most 3/(1-log_q 3) times analytic rank; "
-            "constant chains the closure codim bound (2) with the closure "
-            "rank inflation (3/2) and the point-count gap"))
-    outcomes.append(_le(
-        "rank_le_triple_analytic", r, 3.0 * a,
-        "flat variant: trilinear rank at most 3 times analytic rank "
-        "(recorded independently of the chained constant)"))
     # the estimator is a heuristic; cap its enumeration depth independently
     heur_cap = min(point_cap, HEURISTIC_POINT_CAP)
     est = (codim_estimate(p, e_max, cap=heur_cap, base=z)
            if within_cap(heur_cap, q, z.ambient) else None)
     heur_skipped = est is None or est.ambiguous
-    if not heur_skipped:
-        g = est.g_hat
-        factor = 1.0 - math.log(d) / math.log(q)
-        outcomes.append(_le(
-            "codim_gap_le_analytic", g * factor, a,
-            "analytic rank at least (estimated codim) * (1 - log_q d); "
-            "heuristic through the codim estimate", heuristic=True))
-        rough = float(d) ** g * float(q) ** (z.ambient - g)
-        outcomes.append(_le(
-            "zero_count_le_rough_bound", float(z.count), rough,
-            "point count at most d^g * q^(ambient-g); heuristic through "
-            "the codim estimate", heuristic=True))
-        outcomes.append(_le(
-            "rank_le_triple_codim", r, 3.0 * g,
-            "trilinear rank at most 3 * estimated codim (closure codim "
-            "bound times closure rank inflation); heuristic", heuristic=True))
     g_hat = None if est is None else est.g_hat
+    facts = SimpleNamespace(a=a, r=sch.value, g=g_hat, z=z, q=q, d=d)
+    outcomes = tuple(_le(name, *sides(facts), note, heuristic=kind == "heuristic")
+                     for name, (kind, applies, sides, note) in _SUITE.items()
+                     if applies(d, q) and not (kind == "heuristic" and heur_skipped))
     g_interval = (0, z.ambient) if est is None else est.interval
-    return RankReport(q, d, dims, a, sr.value, sch, z.count, z.ambient,
-                      g_hat, g_interval, constants,
-                      tuple(o for o in outcomes if o.name in names), heur_skipped)
+    return RankReport(a, sch, z.count, g_hat, g_interval, outcomes, heur_skipped)
 
 
 # -- uniformity-norm identity ---------------------------------------------------

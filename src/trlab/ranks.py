@@ -28,6 +28,7 @@ with forms.move_slot_first if another slot is wanted).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -243,22 +244,13 @@ class SliceRank(NamedTuple):
 
 
 def _compositions(total: int, limits) -> list[tuple[int, ...]]:
-    """All tuples c with sum(c) = total and 0 <= c_i <= limits[i], lex order."""
-    out = []
-
-    def rec(prefix, rest, remaining):
-        if not rest:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        head, tail = rest[0], rest[1:]
-        lo = max(0, remaining - sum(tail))
-        for c in range(lo, min(head, remaining) + 1):
-            rec(prefix + [c], tail, remaining - c)
-
-    rec([], list(limits), total)
-    out.sort()
-    return out
+    """All tuples c with sum(c) = total and 0 <= c_i <= limits[i], lex order:
+    stars and bars, whose bar positions in lex order give the parts in lex
+    order, so only the C(total + k - 1, k - 1) compositions are drawn."""
+    k = len(limits)
+    comps = (tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (total + k - 1,)))
+             for bars in itertools.combinations(range(total + k - 1), k - 1))
+    return [c for c in comps if all(ci <= n for ci, n in zip(c, limits))]
 
 
 def _first_vanishing(ctx: FieldCtx, t: np.ndarray, stacks, c_last: int):

@@ -3,6 +3,9 @@
 Output is deterministic for a fixed (seed, config): instances run one at a
 time in the caller's thread and rows are written in index order as they
 finish, and all numbers are exact integers or fixed-format floats.  The
+check columns are checks.applicable_checks(d, q), or the configured subset
+of them, and a failure is classed by the checks module: a proven one aborts
+the survey, recorded and heuristic ones are counted in the summary.  The
 `workers` option is validated and accepted, but changes neither the output
 nor the work: a thread pool ran slower than this loop.
 """
@@ -11,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import closing, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -58,10 +61,10 @@ class SurveyConfig:
             if unknown:
                 raise InputError(f"unknown checks: {sorted(unknown)}")
             d, q = len(self.dims), self.ctx.q
-            if "rank_le_chain_analytic" in set(self.checks) - set(applicable_checks(d, q)):
-                raise InputError(
-                    "the chained trilinear bound needs d = 3 and q > d: the "
-                    f"constant 3/(1-log_q 3) is undefined at q = {q}, d = {d}")
+            outside = set(self.checks) & (set(PROVEN_CHECKS) - set(applicable_checks(d, q)))
+            if outside:
+                raise InputError(f"proven checks {sorted(outside)} do not apply "
+                                 f"at d = {d}, q = {q} (see checks.applicable_checks)")
 
     @property
     def d(self) -> int:
@@ -129,14 +132,6 @@ def _row(cfg: SurveyConfig, seed_label: int, rep: RankReport,
             *checks]
 
 
-def _reports(cfg: SurveyConfig):
-    """Yield (seed_label, RankReport) in index order, drawing the forms lazily
-    and running each in the caller's thread, whatever cfg.workers is."""
-    for seed_label, form in _instances(cfg):
-        yield seed_label, check_suite(form, e_max=cfg.e_max, point_cap=cfg.point_cap,
-                                      search_cap=cfg.search_cap)
-
-
 def run_survey(cfg: SurveyConfig, csv_path, summary_path=None,
                workers: Optional[int] = None) -> dict:
     """Run the ensemble, writing each CSV row once it and every row before
@@ -155,10 +150,11 @@ def run_survey(cfg: SurveyConfig, csv_path, summary_path=None,
     header = list(BASE_COLUMNS) + [f"check:{n}" for n in check_names]
     instances, ratios, flagged, recorded_flat_failures = 0, [], {}, 0
     with (open(csv_path, "w", newline="") as fh,
-          nullcontext() if summary_path is None else open(summary_path, "w") as sfh,
-          closing(_reports(cfg)) as reports):
+          nullcontext() if summary_path is None else open(summary_path, "w") as sfh):
         fh.write(f"# {CSV_VERSION}\n{','.join(header)}\n")
-        for seed_label, rep in reports:
+        for seed_label, form in _instances(cfg):
+            rep = check_suite(form, e_max=cfg.e_max, point_cap=cfg.point_cap,
+                              search_cap=cfg.search_cap)
             cells = _row(cfg, seed_label, rep, check_names)
             fh.write(",".join(cells) + "\n")
             instances += 1

@@ -9,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import gowers_norm_power_oracle
-from trlab.checks import (applicable_checks, check_suite, gowers_bias_identity,
-                          gowers_norm_power, multilinear_bias, suite_constants)
+from trlab.checks import (ALL_CHECKS, PROVEN_CHECKS, RECORDED_CHECKS, applicable_checks,
+                          check_suite, gowers_bias_identity, gowers_norm_power,
+                          multilinear_bias)
 from trlab.errors import CapExceeded, InputError
 from trlab.forms import (MultilinearForm, PolynomialFn, gen_diagonal,
                          gen_from_matrix, gen_random, polarize)
@@ -64,16 +65,22 @@ def test_suite_refuses_chain_at_small_q():
     assert rep.outcome("rank_le_chain_analytic") is None
 
 
-def test_suite_constants():
-    c3 = suite_constants(3, 5)
-    assert c3["closure_codim_factor"] == 2.0
-    assert c3["closure_rank_factor"] == 1.5
-    assert c3["rank_ratio_flat"] == 3.0
-    assert c3["rank_ratio_chain"] == pytest.approx(3 / (1 - math.log(3, 5)))
-    assert suite_constants(3, 2)["rank_ratio_chain"] is None
-    c4 = suite_constants(4, 5)
-    assert all(v is None for v in c4.values())  # unknown regime stays unset
-    assert suite_constants(2, 5)["rank_ratio_exact"] == 1.0
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_suite_emits_the_applicable_checks_in_order(d, q):
+    # the outcomes are applicable_checks(d, q), in its order, less the
+    # heuristic checks when the codim estimate is skipped; the zero form's
+    # estimate is never ambiguous, so it emits every applicable check
+    ctx = field_new(2, 2) if q == 4 else field_new(q, 1)
+    heuristic = set(ALL_CHECKS) - set(PROVEN_CHECKS) - set(RECORDED_CHECKS)
+    zero = MultilinearForm(ctx, np.zeros((2,) * d, dtype=np.int64))
+    for form in (zero, gen_random(ctx, (2,) * d, q + d)):
+        rep = check_suite(form, e_max=2)
+        assert form is not zero or not rep.heuristics_skipped
+        want = [n for n in applicable_checks(d, q)
+                if not (rep.heuristics_skipped and n in heuristic)]
+        assert [o.name for o in rep.outcomes] == want
+        assert all(o.heuristic == (o.name in heuristic) for o in rep.outcomes)
 
 
 def test_outcome_invariant_pass_iff_rule():

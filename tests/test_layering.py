@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from trlab.checks import ALL_CHECKS
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "trlab"
 LAYERS = {"errors": 0, "gfq": 1, "linalg": 2, "forms": 3, "ranks": 4, "pencils": 4,
           "checks": 5, "survey": 6, "cli": 7, "__init__": 8}
@@ -111,6 +113,17 @@ def test_field_tables_read_only_in_gfq(name):
     read = [n.lineno for n in ast.walk(_tree(name))
             if isinstance(n, ast.Attribute) and n.attr in {"_add_t", "_neg_t", "_mul_t", "_inv"}]
     assert not read, f"{name}.py:{read[0]} reads a gfq table"
+
+
+def test_check_names_only_in_checks():
+    # which checks exist, where each applies and how a failure is classed is
+    # decided in checks; every other module reads the names off its table
+    for name in (m for m in MODULES if m != "checks"):
+        literals = [n for n in ast.walk(_tree(name))
+                    if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+        for node in literals:
+            hit = [c for c in ALL_CHECKS if c in node.value]
+            assert not hit, f"{name}.py:{node.lineno} names the check {hit[0]}"
 
 
 PUBLIC = {

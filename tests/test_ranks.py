@@ -732,6 +732,24 @@ def test_slice_search_runs_only_the_levels_from_the_floor():
                    for w, b, i in zip(s.witness.subspaces, old[1], old[2]))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=5), st.integers(0, 22))
+def test_compositions_are_the_filtered_product(limits, total):
+    import trlab.ranks as R
+    want = [c for c in itertools.product(*(range(n + 1) for n in limits)) if sum(c) == total]
+    assert R._compositions(total, limits) == want
+
+
+def test_compositions_draw_only_the_compositions():
+    # 23 slots of dimension 2 (2^23 coefficients, under the coefficient cap):
+    # the 276 compositions of 2 are drawn, not the 3^23 tuples of the box
+    import trlab.ranks as R
+    start = time.perf_counter()
+    comps = R._compositions(2, (2,) * 23)
+    assert time.perf_counter() - start < 1.0
+    assert len(comps) == math.comb(24, 2) and comps == sorted(comps)
+
+
 def test_slice_rank_counts_zeros_only_without_a_base():
     import trlab.ranks as R
     p = gen_random(F3, (3, 3, 3), 7)

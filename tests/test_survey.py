@@ -8,7 +8,7 @@ import threading
 import pytest
 from click.testing import CliRunner
 
-from trlab.checks import CheckOutcome, check_suite
+from trlab.checks import PROVEN_CHECKS, CheckOutcome, applicable_checks, check_suite
 from trlab.cli import main
 from trlab.errors import CapExceeded, InputError, SurveyViolation
 from trlab.gfq import field_new
@@ -312,6 +312,27 @@ def test_survey_check_columns_match_applicability(tmp_path):
     assert "check:analytic_le_rank" in header
     assert "check:rank_le_chain_analytic" not in header  # q = 2
     assert "check:rank_le_triple_codim" in header  # d = 3
+
+
+FIELDS = {2: {"p": 2, "e": 1}, 3: {"p": 3, "e": 1}, 4: {"p": 2, "e": 2},
+          5: {"p": 5, "e": 1}, 7: {"p": 7, "e": 1}}
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS))
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_check_columns_and_refusals_follow_applicability(tmp_path, d, q):
+    obj = {"field": FIELDS[q], "dims": [2] * d, "count": 0}
+    out = tmp_path / "c.csv"
+    run_survey(config_from_obj(obj), out)
+    header = out.read_text().splitlines()[1].split(",")
+    assert [c.removeprefix("check:") for c in header if c.startswith("check:")] \
+        == list(applicable_checks(d, q))
+    # a proven check outside its rule is refused as invalid input
+    cfg = tmp_path / "c.json"
+    for name in PROVEN_CHECKS:
+        cfg.write_text(json.dumps({**obj, "count": 1, "checks": [name]}))
+        res = CliRunner().invoke(main, ["survey", str(cfg), "-o", str(out)])
+        assert res.exit_code == (0 if name in applicable_checks(d, q) else 2), res.output
 
 
 def test_workers_bounded_before_any_thread_or_file(tmp_path, monkeypatch):
