@@ -36,8 +36,8 @@ _SUITE = {
     "analytic_le_rank": (
         "proven", lambda d, q: True, lambda f: (f.a, f.r),
         "analytic rank is at most the exact slice rank, by construction: the search "
-        "starts at the analytic floor (a bad count raises r; the oracle tests guard it); "
-        "for d > 3 r is an upper bound for the degree-d rank"),
+        "starts at the best floor over GF(q^e) (a bad count raises r; oracle tests guard "
+        "it); for d > 3 r is an upper bound for the degree-d rank"),
     # 3/(1 - log_q 3) is positive only for q > 3
     "rank_le_chain_analytic": (
         "proven", lambda d, q: d == 3 and q > 3,
@@ -130,16 +130,17 @@ def check_suite(p: MultilinearForm, e_max: int = 3,
     q, d = p.ctx.q, p.d
     if d < 2:
         raise InputError("the check suite needs at least two slots")
-    z = zero_set_count(p, 1, cap=point_cap)
+    counts = {1: zero_set_count(p, 1, cap=point_cap)}  # the memo of both searches
+    z = counts[1]
     a = analytic_rank_from_count(z, q)
-    sr = slice_rank_exact(p, cap=search_cap, base=z)
+    sr = slice_rank_exact(p, cap=search_cap, counts=counts)
     if not sr.exact:
         raise CapExceeded("exact slice rank is infeasible at this size; "
                           "the suite does not check against bounds", size=None)
     sch = SchmidtRank(sr.value, d <= 3)
     # the estimator is a heuristic; cap its enumeration depth independently
     heur_cap = min(point_cap, HEURISTIC_POINT_CAP)
-    est = (codim_estimate(p, e_max, cap=heur_cap, base=z)
+    est = (codim_estimate(p, e_max, cap=heur_cap, counts=counts)
            if within_cap(heur_cap, q, z.ambient) else None)
     heur_skipped = est is None or est.ambiguous
     g_hat = None if est is None else est.g_hat

@@ -75,22 +75,22 @@ def rank_cmd(tensor, slot, ext_e):
     """Analytic and slice ranks of a tensor JSON file."""
     p = forms.tensor_from_obj(_load_json(tensor))
     rooted = forms.move_slot_first(p, slot)
-    z1 = ranks.zero_set_count(rooted, 1)
+    counts = {1: ranks.zero_set_count(rooted, 1)}
     out = {
         "q": p.ctx.q,
         "dims": list(p.dims),
         "slot": slot,
-        "zero_count": z1.count,
-        "analytic_rank_count": ranks.analytic_rank_from_count(z1, p.ctx.q),
+        "zero_count": counts[1].count,
+        "analytic_rank_count": ranks.analytic_rank_from_count(counts[1], p.ctx.q),
     }
     try:
         out["analytic_rank_charsum"] = ranks.analytic_rank_charsum(rooted)
     except CapExceeded:
         out["analytic_rank_charsum"] = None
     if ext_e > 1:
-        ze = ranks.zero_set_count(rooted, ext_e)
-        out["zero_count_ext"] = {"extension_degree": ext_e, "count": ze.count}
-    sr = ranks.slice_rank_exact(p, base=z1)  # the floor is the same from every slot
+        counts[ext_e] = ranks.zero_set_count(rooted, ext_e)
+        out["zero_count_ext"] = {"extension_degree": ext_e, "count": counts[ext_e].count}
+    sr = ranks.slice_rank_exact(p, counts=counts)  # the floor is the same from every slot
     sch = ranks.SchmidtRank(sr.value, sr.exact and p.d <= 3)
     out["slice_rank"] = sr.value
     out["slice_rank_exact"] = sr.exact

@@ -273,10 +273,17 @@ def left_kernel_basis(m: Matrix) -> Subspace:
     return kernel_basis(m.transpose())
 
 
+@functools.lru_cache(maxsize=None)
 def gaussian_binomial(n: int, k: int, q: int) -> int:
-    """Number of k-dimensional subspaces of GF(q)^n (exact integer)."""
+    """Number of k-dimensional subspaces of GF(q)^n (exact integer), the same
+    for k and n - k.  Refused when q^(k n), which bounds the count and the
+    powers taken, has more than GRID_BUDGET bits, before any power."""
+    if q < 2:
+        raise InputError(f"a field order must be at least 2, got {q}")
     if k < 0 or k > n:
         return 0
+    k = min(k, n - k)
+    capped("Gaussian binomial bits of q^(k n)", GRID_BUDGET, k * n * math.ceil(math.log2(q)))
     out = 1
     for i in range(k):
         out = out * (q ** (n - i) - 1) // (q ** (i + 1) - 1)

@@ -15,7 +15,8 @@ Three quantities are computed exactly at desk scale:
   slot: every value is enumerated, none derived from a rank;
 * the exact slice rank, by iterative deepening over codimension
   compositions, each ranking every subspace tuple in batches, from the
-  analytic floor up, since a(P) <= slice rank (Lovett 2019; Kazhdan-Ziegler).
+  best analytic floor over GF(q^e) up, since a_{q^e}(P) <= slice rank
+  (Lovett 2019; Kazhdan-Ziegler), its counts memoized for the estimate.
 
 _deepen is the one deepening search: the subspace rank of a span is the
 slice search of its (L, n1, n2) stack with the member slot never cut.
@@ -179,17 +180,40 @@ def zero_set_count(p: MultilinearForm, ext_e: int = 1, cap: int = POINT_CAP) -> 
     return ZeroSetCount(count, ext_e, ambient)
 
 
-def _check_base(base: Optional[ZeroSetCount]) -> None:
-    """Refuse a caller's count that is not over the base field."""
-    if base is not None and base.extension_degree != 1:
-        raise InputError(f"the base count must be over the base field, got extension "
-                         f"degree {base.extension_degree}")
+def _check_counts(counts: Optional[dict[int, ZeroSetCount]]) -> dict[int, ZeroSetCount]:
+    """The caller's memo {e: count over GF(q^e)}, or a new one; a count kept
+    under another e is refused."""
+    for e, z in (counts or {}).items():
+        if z.extension_degree != e:
+            raise InputError(f"the count kept under {e} has extension degree {z.extension_degree}")
+    return {} if counts is None else counts
 
 
 def _analytic_floor(z: ZeroSetCount, q: int) -> int:
     """The analytic floor: the least integer r with q^r |Z| >= q^ambient, the
     same from the count of every slot (d >= 2, so |Z| >= 1)."""
     return next(r for r in range(z.ambient + 1) if q ** r * z.count >= q ** z.ambient)
+
+
+def _ladder_floor(p: MultilinearForm, counts: dict[int, ZeroSetCount], cap: int,
+                  upper: int, cost) -> int:
+    """The best analytic floor worth counting for, below `upper`: from f = 1,
+    for e = 1, 2, ... while f < upper, f = max(f, the floor over Q = q^e).
+    A count in `counts` is free; a new one is taken, and kept there, only
+    while Q^N is within the cap (so it never raises) and its prod_i
+    (Q^n_i - 1)/(Q - 1) matrices are no more than cost(f), the rank tests
+    of levels f..upper-1 that it could remove."""
+    q, mids = p.ctx.q, p.dims[1:-1]
+    f, e = 1, 1
+    while f < upper:
+        if e not in counts:
+            if (not within_cap(cap, q, e * sum(mids))
+                    or math.prod((q ** (e * n) - 1) // (q ** e - 1) for n in mids) > cost(f)):
+                break
+            counts[e] = zero_set_count(p, e, cap=cap)
+        f = max(f, _analytic_floor(counts[e], q ** e))
+        e += 1
+    return f
 
 
 def analytic_rank_from_count(z: ZeroSetCount, q: int) -> float:
@@ -303,9 +327,9 @@ def _deepen(ctx: FieldCtx, t: np.ndarray, limits, lower, cap: int):
     in lex order, subspaces in canonical order.  If the projected rank tests
     of those levels, sum over their compositions of prod_{i<d-1}
     [n_i, n_i - c_i]_q, exceed the cap, returns that number and enumerates
-    nothing.  `lower` may be a callable (a count behind the floor), called
-    only once level upper alone fits the cap; that level's cost is then
-    returned if it does not."""
+    nothing.  `lower` may be a callable (counts behind the floor), called as
+    lower(upper, cost), cost(f) the rank tests of levels f..upper-1, only
+    once level upper alone fits the cap; else that level's cost returns."""
     dims = t.shape
     upper = min((rref(Matrix(ctx, np.moveaxis(t, i, 0).reshape(n, -1))).rank
                  for i, n in enumerate(dims) if limits[i]), default=0)
@@ -317,7 +341,8 @@ def _deepen(ctx: FieldCtx, t: np.ndarray, limits, lower, cap: int):
         top = cost([(upper, _compositions(upper, limits))])
         if top > cap:
             return top
-        lower = lower()
+        lower = lower(upper, lambda f: cost([(r, _compositions(r, limits))
+                                             for r in range(f, upper)]))
     levels = [(r, _compositions(r, limits)) for r in range(min(lower, upper), upper + 1)]
     total = cost(levels)
     if total > cap:
@@ -332,28 +357,23 @@ def _deepen(ctx: FieldCtx, t: np.ndarray, limits, lower, cap: int):
 
 
 def slice_rank_exact(p: MultilinearForm, cap: int = SEARCH_CAP,
-                     base: Optional[ZeroSetCount] = None) -> SliceRank:
+                     counts: Optional[dict[int, ZeroSetCount]] = None) -> SliceRank:
     """Least sum of slot codimensions over vanishing subspace tuples.
 
     _deepen with every slot cut up to its dimension; the first witness wins,
     its last subspace the left kernel of the matrix that hit.  For d = 2 the
     deepening starts at the least flattening rank, which is the matrix rank
     that every vanishing pair must reach (rank subadditivity).  For d >= 3 it
-    starts at the analytic floor of `base` (the caller's count of p at e = 1,
-    of any slot), or of its own count if that fits `cap` and level upper
-    alone does, or else at 1.  Past the cap, a greedy upper bound is returned
-    non-exact.
+    starts at _ladder_floor, asked for only once level upper alone fits
+    `cap`: the best floor over GF(q^e) from `counts`, the caller's memo
+    {e: ZeroSetCount} of p (each of any slot; the floor is the same from
+    every slot), and from the counts of slot 0 that pay for themselves,
+    which are added to it.  Past the cap, a greedy bound returns non-exact.
     """
     ctx = p.ctx
-    _check_base(base)
-
-    def floor() -> int:  # asked for by _deepen only once level upper fits the cap
-        z = base
-        if z is None and within_cap(cap, ctx.q, sum(p.dims[1:-1])):
-            z = zero_set_count(p, 1, cap=cap)
-        return 1 if z is None else _analytic_floor(z, ctx.q)
-
-    hit = _deepen(ctx, p.coeffs, p.dims, math.inf if p.d < 3 else floor, cap)
+    counts = _check_counts(counts)
+    hit = _deepen(ctx, p.coeffs, p.dims, math.inf if p.d < 3 else
+                  lambda upper, cost: _ladder_floor(p, counts, cap, upper, cost), cap)
     if isinstance(hit, int):
         return SliceRank(_greedy_upper(p), None, False)
     r, stacks, idx, mat = hit
@@ -446,24 +466,26 @@ class CodimEstimate:
 
 
 def codim_estimate(p: MultilinearForm, e_max: int, cap: int = POINT_CAP,
-                   base: Optional[ZeroSetCount] = None) -> CodimEstimate:
-    """Estimate from the counts at e = 1..e_max; `base`, the count of p at
-    e = 1 when the caller already holds it, is used instead of counting it
-    again.  The sizes grow with e, so the levels stop before the first
-    e >= 2 whose (q^e)^ambient points pass `cap`; the trace shows the levels
-    used."""
+                   counts: Optional[dict[int, ZeroSetCount]] = None) -> CodimEstimate:
+    """Estimate from the counts at e = 1..e_max, read from `counts`, the
+    caller's memo {e: ZeroSetCount} of p's slot 0 (as slice_rank_exact fills
+    it), where it holds them, and added to it otherwise.  The sizes grow
+    with e, so the levels stop before the first e >= 2 whose (q^e)^ambient
+    points pass `cap`; the trace shows the levels used."""
     if e_max < 1:
         raise InputError(f"e_max must be >= 1, got {e_max}")
     if p.d < 2:
         raise InputError("codimension estimate needs at least two slots")
-    _check_base(base)
+    counts = _check_counts(counts)
     trace = []
     logq = math.log(p.ctx.q)
     ambient = sum(p.dims[1:])
     for e in range(1, e_max + 1):
         if e > 1 and not within_cap(cap, p.ctx.q, e * ambient):
             break
-        z = base if e == 1 and base is not None else zero_set_count(p, e, cap=cap)
+        if e not in counts:
+            counts[e] = zero_set_count(p, e, cap=cap)
+        z = counts[e]
         dim_est = math.log(z.count) / (e * logq)
         trace.append(ExtensionCount(e, z.count, dim_est))
     x = trace[-1].dim_estimate

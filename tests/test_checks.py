@@ -122,6 +122,29 @@ def test_suite_counts_each_extension_once(monkeypatch):
     assert (rep.g_hat, rep.g_interval) == (want.g_hat, want.interval)
 
 
+def test_suite_counts_each_ladder_degree_once(monkeypatch):
+    # this F2 4x4x4 form has floors 3, 3, 4 over GF(2), GF(4), GF(8): the
+    # slice search's ladder counts GF(4) and GF(8) into the suite's memo, and
+    # the estimate reads e = 1, 2 from it, so every degree is counted once
+    # and g_hat is the estimate's own
+    import trlab.checks as C
+    import trlab.ranks as R
+    p = gen_random(F2, (4, 4, 4), 0)
+    want = R.codim_estimate(p, 2, cap=C.HEURISTIC_POINT_CAP)
+    count, seen = R.zero_set_count, []
+
+    def counted(p, e=1, cap=R.POINT_CAP):
+        seen.append(e)
+        return count(p, e, cap)
+
+    monkeypatch.setattr(C, "zero_set_count", counted)
+    monkeypatch.setattr(R, "zero_set_count", counted)
+    rep = check_suite(p, e_max=2)
+    assert seen == [1, 2, 3]
+    assert rep.schmidt.value == 4
+    assert (rep.g_hat, rep.g_interval) == (want.g_hat, want.interval)
+
+
 def test_suite_rejects_one_slot():
     with pytest.raises(InputError):
         check_suite(MultilinearForm(F2, np.array([1, 0], dtype=np.int64)))

@@ -84,6 +84,13 @@ def test_one_deepening_driver(name):
     assert callers == {("ranks", "_deepen")}
 
 
+def test_one_floor_path():
+    # the slice search's floor comes from the count ladder alone, so no
+    # second floor route grows beside it
+    callers = {(mod, fn) for mod in MODULES for fn in _callers(_tree(mod), "_analytic_floor")}
+    assert callers == {("ranks", "_ladder_floor")}
+
+
 @pytest.mark.parametrize("name,owners", [
     ("bit_length", {("errors", "_power")}),
     # the suite's refusal of an inexact slice rank has no size to compare

@@ -1,6 +1,7 @@
 """RREF, kernels/images, subspace enumeration, batch rank."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -106,6 +107,22 @@ def test_subspace_cap_refusal():
     with pytest.raises(CapExceeded) as exc:
         subspace_bases(F2, 40, 20)
     assert str(gaussian_binomial(40, 20, 2)) in str(exc.value)
+
+
+def test_gaussian_binomial_refuses_a_huge_exponent_at_once():
+    # q^(k n) bounds the count and every power taken; past GRID_BUDGET bits
+    # it is refused before any power, where 3^(2^63) would never finish
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="Gaussian binomial"):
+        gaussian_binomial(2 ** 63, 1, 3)
+    with pytest.raises(CapExceeded):
+        gaussian_binomial(2 ** 63, 2 ** 63 - 1, 3)  # the same count as k = 1
+    assert time.perf_counter() - start < 1.0
+    assert gaussian_binomial(2 ** 63, 0, 3) == gaussian_binomial(2 ** 63, 2 ** 63, 3) == 1
+    assert all(gaussian_binomial(n, k, q) == gaussian_binomial(n, n - k, q)
+               for q in (2, 3, 4) for n in range(7) for k in range(n + 1))
+    with pytest.raises(InputError):
+        gaussian_binomial(3, 1, 1)
 
 
 def test_subspace_from_rows_canonical():

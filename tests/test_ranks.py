@@ -611,6 +611,9 @@ def _slice_cases(draw):
 @example(case=(2, 2, (3, 3, 3), "two slices", 2))    # GF(4)
 @example(case=(2, 1, (3, 3, 3, 3), "two slices", 4))  # d = 4
 @example(case=(5, 1, (3, 3, 3), "dense", 2))         # GF(5), 31 subspaces per slot
+@example(case=(2, 1, (3, 3, 3), "dense", 1))         # floors 2, 2, 3 over GF(2), GF(4), GF(8)
+@example(case=(3, 1, (3, 3, 3), "dense", 0))         # floors 2, 3 over GF(3), GF(9)
+@example(case=(2, 2, (3, 3, 3), "sparse", 18))       # floors 2, 3 over GF(4), GF(16)
 def test_slice_rank_matches_recursive_search(case):
     # same value, exact flag and witness bases as the per-tuple search, also
     # when a 16-cell budget sends the search through chunks and recursion
@@ -647,9 +650,9 @@ def test_bilinear_slice_rank_ranks_its_matrix_twice(monkeypatch):
     assert all(np.array_equal(w.basis, b) for w, b in zip(s.witness.subspaces, bases))
 
 
-def _floor(p) -> int:
+def _floor(p, e=1) -> int:
     import trlab.ranks as R
-    return R._analytic_floor(zero_set_count(p, 1), p.ctx.q)
+    return R._analytic_floor(zero_set_count(p, e), p.ctx.q ** e)
 
 
 @st.composite
@@ -678,6 +681,88 @@ def test_analytic_floor_never_exceeds_the_slice_rank(case):
     assert floor >= analytic_rank_count(form) - 1e-9
     # the bias, hence the floor, does not depend on the distinguished slot
     assert all(_floor(move_slot_first(form, s)) == floor for s in range(form.d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_floor_cases())
+@example(case=(2, 1, (3, 3, 3), "dense", 1))         # the floor climbs to the value at GF(8)
+@example(case=(2, 2, (3, 3, 3), "dense", 1))         # GF(64) at e = 3
+@example(case=(3, 1, (2, 2, 2, 2), "two slices", 3))  # d = 4
+def test_extension_floors_never_exceed_the_slice_rank(case):
+    # a_Q(P) <= partition rank over GF(Q) <= slice rank over GF(q) for every
+    # Q = q^e, so each rung of the ladder may start the search; the oracle
+    # deepens from 0
+    p_char, e, dims, kind, seed = case
+    form = _slice_form(field_new(p_char, e), dims, kind, seed)
+    value, _ = recursive_slice_rank(form)
+    floors = [_floor(form, deg) for deg in (1, 2, 3)]
+    assert all(0 <= f <= value for f in floors)
+    assert all(_floor(move_slot_first(form, s), 2) == floors[1] for s in range(form.d))
+
+
+def test_unit_tensor_counts_follow_the_closed_form():
+    # the unit tensor sum_i x_i y_i z_i vanishes as a functional iff y_i z_i = 0
+    # for every i, so |Z(GF(Q))| = (2Q - 1)^n and a_Q = n c(Q, 3) with
+    # c(Q, 3) = 2 - log_Q(2Q - 1); the floors climb toward the value n
+    floors = {2: [(1, 1, 1), (1, 2, 2), (2, 2, 3), (2, 3, 3)],
+              3: [(1, 1, 1), (2, 2, 2), (2, 3, 3), (3, 3, 4)]}
+    for q, rows in floors.items():
+        ctx = field_new(q, 1)
+        for n, want in enumerate(rows, start=1):
+            unit = gen_diagonal(ctx, n, 3)
+            for e in (1, 2, 3):
+                big_q = q ** e
+                z = zero_set_count(unit, e)
+                assert (z.count, z.ambient) == ((2 * big_q - 1) ** n, 2 * n)
+                a_q = z.ambient - math.log(z.count) / math.log(big_q)
+                assert a_q == pytest.approx(n * (2 - math.log(2 * big_q - 1) / math.log(big_q)))
+            assert tuple(_floor(unit, e) for e in (1, 2, 3)) == want
+            assert max(want) <= n == slice_rank_exact(unit).value
+
+
+def test_ladder_stops_where_a_count_costs_more_than_it_saves(monkeypatch):
+    # the F2 n = 4 unit tensor has floors 2, 3, 3 over GF(2), GF(4), GF(8):
+    # those counts rank 15, 85 and 585 line matrices, no more than the rank
+    # tests of the levels below upper = 4 they could remove (1,406 for level
+    # 3 alone); GF(16) would rank 4,369, so the ladder stops and the search
+    # refutes level 3
+    import trlab.ranks as R
+    count, seen = R.zero_set_count, []
+
+    def counted(p, e=1, cap=R.POINT_CAP):
+        seen.append(e)
+        return count(p, e, cap)
+
+    monkeypatch.setattr(R, "zero_set_count", counted)
+    unit = gen_diagonal(F2, 4, 3)
+    assert slice_rank_exact(unit).value == 4
+    assert seen == [1, 2, 3]
+    # an F3 3x3x3 form whose GF(9) floor is the value 3 stops there
+    seen.clear()
+    assert slice_rank_exact(gen_random(F3, (3, 3, 3), 0)).value == 3
+    assert seen == [1, 2]
+
+
+def test_ladder_never_counts_past_the_cap(monkeypatch):
+    # floors 2, 3 over GF(3), GF(9): the GF(9) rung ranks 91 line matrices
+    # but ranges over 9^3 = 729 middle vectors.  At cap 728 it is skipped, so
+    # no CapExceeded: levels 2 and 3 (222 + 562 rank tests) pass the cap and
+    # the greedy bound comes back.  At 729 the rung lifts the floor to 3 and
+    # level 3 alone fits
+    import trlab.ranks as R
+    p = gen_random(F3, (3, 3, 3), 0)
+    want, count, seen = slice_rank_exact(p), R.zero_set_count, []
+
+    def counted(p, e=1, cap=R.POINT_CAP):
+        seen.append(e)
+        return count(p, e, cap)
+
+    monkeypatch.setattr(R, "zero_set_count", counted)
+    below = slice_rank_exact(p, cap=728)
+    assert not below.exact and below.witness is None and seen == [1]
+    seen.clear()
+    assert slice_rank_exact(p, cap=729) == want and want.exact
+    assert seen == [1, 2]
 
 
 def test_analytic_floor_equality_and_unit_tensor_cases():
@@ -724,7 +809,7 @@ def test_slice_search_runs_only_the_levels_from_the_floor():
         seen.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(R, "_first_vanishing", record)
-            s = slice_rank_exact(p, base=z)
+            s = slice_rank_exact(p, counts={1: z})
         assert seen and all(sum(c) == 3 for c in seen)
         assert seen == R._compositions(3, p.dims)[:len(seen)]
         assert s.value == old[0] == 3 and s.exact
@@ -765,7 +850,7 @@ def test_slice_rank_counts_zeros_only_without_a_base():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(R, "zero_set_count", refuse)
-        assert slice_rank_exact(p, base=z) == want
+        assert slice_rank_exact(p, counts={1: z}) == want
         # 27 matrix ranks pass a cap of 26: no count, the search starts at 1
         assert not slice_rank_exact(p, cap=26).exact
     with pytest.MonkeyPatch.context() as mp:
@@ -773,7 +858,7 @@ def test_slice_rank_counts_zeros_only_without_a_base():
         assert slice_rank_exact(p) == want
     assert counted == [1]
     with pytest.raises(InputError, match="extension degree 2"):
-        slice_rank_exact(p, base=zero_set_count(p, 2))
+        slice_rank_exact(p, counts={1: zero_set_count(p, 2)})
 
 
 @pytest.mark.parametrize("ctx,dims", [(field_new(7, 1), (4, 4, 4)), (F5, (5, 5, 5))])
@@ -1031,10 +1116,10 @@ def test_codim_estimate_takes_the_base_count(monkeypatch):
         return zero_set_count(p, e, cap)
 
     monkeypatch.setattr(R, "zero_set_count", count)
-    assert codim_estimate(p, 3, base=base) == want
+    assert codim_estimate(p, 3, counts={1: base}) == want
     assert counted == [2, 3]
     with pytest.raises(InputError, match="extension degree 2"):
-        codim_estimate(p, 3, base=zero_set_count(p, 2))
+        codim_estimate(p, 3, counts={1: zero_set_count(p, 2)})
 
 
 def test_codim_estimate_stops_at_the_first_level_past_the_cap():
