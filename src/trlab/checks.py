@@ -137,7 +137,7 @@ def check_suite(p: MultilinearForm, e_max: int = 3,
     if not sr.exact:
         raise CapExceeded("exact slice rank is infeasible at this size; "
                           "the suite does not check against bounds", size=None)
-    sch = SchmidtRank(sr.value, d <= 3)
+    sch = sr.schmidt(d)
     # the estimator is a heuristic; cap its enumeration depth independently
     heur_cap = min(point_cap, HEURISTIC_POINT_CAP)
     est = (codim_estimate(p, e_max, cap=heur_cap, counts=counts)

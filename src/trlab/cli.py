@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 
 import click
@@ -50,6 +51,10 @@ def _parse_dims(text):
     return dims
 
 
+def _finite(x):  # JSON has no Infinity: an infinite rank is written as null
+    return x if math.isfinite(x) else None
+
+
 def _emit(obj, out=None):
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if out is None:
@@ -81,21 +86,19 @@ def rank_cmd(tensor, slot, ext_e):
         "dims": list(p.dims),
         "slot": slot,
         "zero_count": counts[1].count,
-        "analytic_rank_count": ranks.analytic_rank_from_count(counts[1], p.ctx.q),
+        "analytic_rank_count": _finite(ranks.analytic_rank_from_count(counts[1], p.ctx.q)),
     }
     try:
-        out["analytic_rank_charsum"] = ranks.analytic_rank_charsum(rooted)
+        out["analytic_rank_charsum"] = _finite(ranks.analytic_rank_charsum(rooted))
     except CapExceeded:
         out["analytic_rank_charsum"] = None
     if ext_e > 1:
         counts[ext_e] = ranks.zero_set_count(rooted, ext_e)
         out["zero_count_ext"] = {"extension_degree": ext_e, "count": counts[ext_e].count}
     sr = ranks.slice_rank_exact(p, counts=counts)  # the floor is the same from every slot
-    sch = ranks.SchmidtRank(sr.value, sr.exact and p.d <= 3)
-    out["slice_rank"] = sr.value
-    out["slice_rank_exact"] = sr.exact
-    out["schmidt_rank"] = sch.value
-    out["schmidt_rank_exact"] = sch.exact
+    sch = sr.schmidt(p.d)
+    out.update(slice_rank=sr.value, slice_rank_exact=sr.exact,
+               schmidt_rank=sch.value, schmidt_rank_exact=sch.exact)
     _emit(out)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InputError, capped, within_cap
 from .gfq import FieldCtx, digits
 
-SUBSPACE_CAP = 10 ** 7  # default refusal bound on enumerated subspace counts
+SUBSPACE_CAP = 10 ** 7  # refusal bound on enumerated subspace counts
 EXHAUSTIVE_SPAN_CAP = 10 ** 5  # largest q^dim(span) whose elements are all enumerated
 GRID_BUDGET = 1 << 22     # max grid cells materialized per vectorized step
 
@@ -321,9 +321,9 @@ def _subspace_bases_cached(ctx: FieldCtx, n: int, k: int) -> np.ndarray:
     return np.concatenate(blocks, axis=0)
 
 
-def subspace_bases(ctx: FieldCtx, n: int, k: int, cap: int = SUBSPACE_CAP) -> np.ndarray:
-    """Cached array of all canonical bases; refuses above the cap."""
-    capped(f"{k}-dim subspaces of GF({ctx.q})^{n}", cap, gaussian_binomial(n, k, ctx.q))
+def subspace_bases(ctx: FieldCtx, n: int, k: int) -> np.ndarray:
+    """Cached array of all canonical bases; refuses above SUBSPACE_CAP."""
+    capped(f"{k}-dim subspaces of GF({ctx.q})^{n}", SUBSPACE_CAP, gaussian_binomial(n, k, ctx.q))
     return _subspace_bases_cached(ctx, n, k)
 
 

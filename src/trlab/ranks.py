@@ -37,7 +37,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import InputError, capped, within_cap
-from .forms import MultilinearForm, restrict_axis_arr
+from .forms import MultilinearForm, restrict, restrict_axis_arr
 from .gfq import FieldCtx, digits
 from .linalg import (GRID_BUDGET, Matrix, Subspace, batch_rank, field_dot,
                      gaussian_binomial, kernel_basis, left_kernel_basis, rref, sampled_span,
@@ -196,19 +196,24 @@ def _analytic_floor(z: ZeroSetCount, q: int) -> int:
 
 
 def _ladder_floor(p: MultilinearForm, counts: dict[int, ZeroSetCount], cap: int,
-                  upper: int, cost) -> int:
-    """The best analytic floor worth counting for, below `upper`: from f = 1,
-    for e = 1, 2, ... while f < upper, f = max(f, the floor over Q = q^e).
-    A count in `counts` is free; a new one is taken, and kept there, only
-    while Q^N is within the cap (so it never raises) and its prod_i
-    (Q^n_i - 1)/(Q - 1) matrices are no more than cost(f), the rank tests
-    of levels f..upper-1 that it could remove."""
+                  upper: int, price: list[int]) -> int:
+    """The best analytic floor worth counting for, given _deepen's level
+    prices: `upper` at once for d < 3 (rank subadditivity makes the least
+    flattening rank the slice rank) or when level upper alone passes the cap
+    (so a refused search takes no count); else from f = 1, for e = 1, 2, ...
+    while f < upper, f = max(f, the floor over Q = q^e).  A count in `counts`
+    is free; a new one is taken, and kept there, only while Q^N is within the
+    cap (so it never raises) and its prod_i (Q^n_i - 1)/(Q - 1) matrices are
+    no more than sum(price[f:upper]), the rank tests it could remove."""
+    if p.d < 3 or price[upper] > cap:
+        return upper
     q, mids = p.ctx.q, p.dims[1:-1]
     f, e = 1, 1
     while f < upper:
         if e not in counts:
             if (not within_cap(cap, q, e * sum(mids))
-                    or math.prod((q ** (e * n) - 1) // (q ** e - 1) for n in mids) > cost(f)):
+                    or math.prod((q ** (e * n) - 1) // (q ** e - 1) for n in mids)
+                    > sum(price[f:upper])):
                 break
             counts[e] = zero_set_count(p, e, cap=cap)
         f = max(f, _analytic_floor(counts[e], q ** e))
@@ -234,10 +239,13 @@ def analytic_rank_charsum(p: MultilinearForm, j: int = 1, cap: int = POINT_CAP) 
     Agrees with analytic_rank_count within 1e-9 for every multilinear form
     and does not depend on the character index j.  This is the route
     independent of the rank identity behind zero_set_count: it histograms
-    the form's value at every point and ranks no matrix.
+    the form's value at every point and ranks no matrix.  A nonzero form
+    with d = 1 has no zeros, and both routes give math.inf.
     """
     mag = abs(character_sum(p, j, cap))
     if mag < 1e-12:
+        if p.d == 1:  # a nonzero functional takes every value equally often: |Z| = 0
+            return math.inf
         # impossible for d >= 2: the bias equals |Z|/q^ambient >= q^(-ambient)
         raise RuntimeError("character sum magnitude below 1e-12; internal error")
     return -math.log(mag) / math.log(p.ctx.q)
@@ -254,17 +262,23 @@ class SubspaceWitness:
 
 
 def _make_witness(p: MultilinearForm, subs) -> SubspaceWitness:
-    t = p.coeffs
-    for axis, s in enumerate(subs):
-        t = restrict_axis_arr(p.ctx, t, axis, s.basis)
-    assert not t.any(), "witness restriction must vanish on all basis tuples"
+    assert restrict(p, subs).is_zero(), "witness restriction must vanish on all basis tuples"
     return SubspaceWitness(tuple(subs), sum(s.codim for s in subs))
+
+
+class SchmidtRank(NamedTuple):
+    value: int
+    exact: bool  # exact as a Schmidt rank: requires d <= 3 and an exact search
 
 
 class SliceRank(NamedTuple):
     value: int
     witness: Optional[SubspaceWitness]
     exact: bool
+
+    def schmidt(self, d: int) -> SchmidtRank:
+        """As a Schmidt rank of a d-slot form: exact iff the search was and d <= 3."""
+        return SchmidtRank(self.value, self.exact and d <= 3)
 
 
 def _compositions(total: int, limits) -> list[tuple[int, ...]]:
@@ -317,38 +331,28 @@ def _greedy_upper(p: MultilinearForm) -> int:
     return total
 
 
-def _deepen(ctx: FieldCtx, t: np.ndarray, limits, lower, cap: int):
+def _deepen(ctx: FieldCtx, t: np.ndarray, limits, floor, cap: int):
     """First hit of the least level r = sum(c), c_i <= limits[i], at which
     subspaces of codimension c_i on the slots before the last leave t a
     matrix of rank <= c_last against its last slot, as (r, stacks, index
-    tuple, matrix).  Levels run from min(lower, upper) to upper, the least
-    flattening rank of a slot that may be cut (it always hits), and `lower`
-    (such as the analytic floor) is a proven bound on the value; compositions
-    in lex order, subspaces in canonical order.  If the projected rank tests
-    of those levels, sum over their compositions of prod_{i<d-1}
-    [n_i, n_i - c_i]_q, exceed the cap, returns that number and enumerates
-    nothing.  `lower` may be a callable (counts behind the floor), called as
-    lower(upper, cost), cost(f) the rank tests of levels f..upper-1, only
-    once level upper alone fits the cap; else that level's cost returns."""
+    tuple, matrix).  Each level r up to upper, the least flattening rank of a
+    slot that may be cut (it always hits), is planned once: its compositions,
+    in lex order, and price[r], their rank tests, prod_{i<d-1} [n_i, n_i - c_i]_q
+    summed over them.  Levels run from lower = min(floor(upper, price), upper),
+    floor a proven bound on the value such as the analytic floor, subspaces in
+    canonical order; past the cap, sum(price[lower:]) returns instead."""
     dims = t.shape
     upper = min((rref(Matrix(ctx, np.moveaxis(t, i, 0).reshape(n, -1))).rank
                  for i, n in enumerate(dims) if limits[i]), default=0)
-
-    def cost(levels) -> int:
-        return sum(math.prod(gaussian_binomial(n, n - c, ctx.q) for n, c in zip(dims[:-1], comp))
-                   for _, comps in levels for comp in comps)
-    if callable(lower):  # level upper alone first, so a refused search takes no count
-        top = cost([(upper, _compositions(upper, limits))])
-        if top > cap:
-            return top
-        lower = lower(upper, lambda f: cost([(r, _compositions(r, limits))
-                                             for r in range(f, upper)]))
-    levels = [(r, _compositions(r, limits)) for r in range(min(lower, upper), upper + 1)]
-    total = cost(levels)
+    comps = [_compositions(r, limits) for r in range(upper + 1)]
+    price = [sum(math.prod(gaussian_binomial(n, n - c, ctx.q) for n, c in zip(dims[:-1], comp))
+                 for comp in level) for level in comps]
+    lower = min(floor(upper, price), upper)
+    total = sum(price[lower:])
     if total > cap:
         return total
-    for r, comps in levels:
-        for comp in comps:
+    for r in range(lower, upper + 1):
+        for comp in comps[r]:
             stacks = [subspace_bases(ctx, n, n - c) for n, c in zip(dims[:-1], comp)]
             hit = _first_vanishing(ctx, t, stacks, comp[-1])
             if hit is not None:
@@ -360,20 +364,17 @@ def slice_rank_exact(p: MultilinearForm, cap: int = SEARCH_CAP,
                      counts: Optional[dict[int, ZeroSetCount]] = None) -> SliceRank:
     """Least sum of slot codimensions over vanishing subspace tuples.
 
-    _deepen with every slot cut up to its dimension; the first witness wins,
-    its last subspace the left kernel of the matrix that hit.  For d = 2 the
-    deepening starts at the least flattening rank, which is the matrix rank
-    that every vanishing pair must reach (rank subadditivity).  For d >= 3 it
-    starts at _ladder_floor, asked for only once level upper alone fits
-    `cap`: the best floor over GF(q^e) from `counts`, the caller's memo
-    {e: ZeroSetCount} of p (each of any slot; the floor is the same from
-    every slot), and from the counts of slot 0 that pay for themselves,
-    which are added to it.  Past the cap, a greedy bound returns non-exact.
+    _deepen with every slot cut up to its dimension, from _ladder_floor; the
+    first witness wins, its last subspace the left kernel of the matrix that
+    hit.  `counts` is the caller's memo {e: ZeroSetCount} of p (each of any
+    slot; the floor is the same from every slot), to which the counts of
+    slot 0 that pay for themselves are added.  Past the cap, a greedy bound
+    returns non-exact.
     """
     ctx = p.ctx
     counts = _check_counts(counts)
-    hit = _deepen(ctx, p.coeffs, p.dims, math.inf if p.d < 3 else
-                  lambda upper, cost: _ladder_floor(p, counts, cap, upper, cost), cap)
+    hit = _deepen(ctx, p.coeffs, p.dims,
+                  lambda upper, price: _ladder_floor(p, counts, cap, upper, price), cap)
     if isinstance(hit, int):
         return SliceRank(_greedy_upper(p), None, False)
     r, stacks, idx, mat = hit
@@ -383,15 +384,9 @@ def slice_rank_exact(p: MultilinearForm, cap: int = SEARCH_CAP,
     return SliceRank(r, w, True)
 
 
-class SchmidtRank(NamedTuple):
-    value: int
-    exact: bool  # exact as a Schmidt rank: requires d <= 3 and an exact search
-
-
 def schmidt_rank(p: MultilinearForm, cap: int = SEARCH_CAP) -> SchmidtRank:
     """Slice rank, exact as Schmidt rank for d <= 3, an upper bound beyond."""
-    s = slice_rank_exact(p, cap=cap)
-    return SchmidtRank(s.value, s.exact and p.d <= 3)
+    return slice_rank_exact(p, cap=cap).schmidt(p.d)
 
 
 def subspace_rank_exact(mats, cap: int = SEARCH_CAP) -> int:
@@ -401,7 +396,7 @@ def subspace_rank_exact(mats, cap: int = SEARCH_CAP) -> int:
     ctx, stack = stack_matrices(mats)  # (L, n1, n2)
     _, n1, n2 = stack.shape
     lower = int(batch_rank(ctx, stack).max())  # vanishing forces c1 + c2 >= rank(l) for each l
-    hit = _deepen(ctx, stack, (0, n1, n2), lower, cap)
+    hit = _deepen(ctx, stack, (0, n1, n2), lambda upper, price: lower, cap)
     if isinstance(hit, int):
         capped("subspace-rank search rank tests", cap, hit)  # hit is past the cap
     return hit[0]

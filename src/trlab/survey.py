@@ -44,8 +44,8 @@ class SurveyConfig:
     search_cap: int = SEARCH_CAP
 
     def __post_init__(self):
-        if not self.dims or any(n < 1 for n in self.dims):
-            raise InputError("dims must be positive")
+        if len(self.dims) < 2 or any(n < 1 for n in self.dims):  # before any file opens
+            raise InputError("a survey needs at least two slots, each of positive dimension")
         check_coeff_cap(self.dims)
         if self.count < 0 or self.seed < 0:
             raise InputError("ensemble size and seed must be >= 0")

@@ -67,6 +67,36 @@ def test_rank_counts_the_base_field_once(tmp_path, monkeypatch):
         assert (got["slice_rank"], got["slice_rank_exact"]) == (want.value, True)
 
 
+def _strict_json(text):
+    # Infinity and NaN are not JSON: a strict reader refuses them
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("coeffs,analytic,zeros,value", [
+    ([1, 0, 2], None, 0, 1),  # a nonzero functional: no zeros, infinite analytic rank
+    ([0, 0, 0], 0.0, 1, 0),
+])
+def test_rank_one_slot_form(tmp_path, coeffs, analytic, zeros, value):
+    with pytest.raises(ValueError):
+        _strict_json('{"a": Infinity}')
+    path = _write(tmp_path, "t.json", {"field": {"p": 3, "e": 1}, "dims": [3], "coeffs": coeffs})
+    res = runner.invoke(main, ["rank", path])
+    assert res.exit_code == 0, res.output
+    got = _strict_json(res.output)
+    assert got["analytic_rank_count"] == got["analytic_rank_charsum"] == analytic
+    assert (got["zero_count"], got["slice_rank"], got["schmidt_rank_exact"]) == (zeros, value, True)
+
+
+def test_survey_refuses_one_slot_before_opening_the_csv(tmp_path):
+    cfg = _write(tmp_path, "cfg.json", {"field": {"p": 3, "e": 1}, "dims": [3], "count": 2})
+    out = tmp_path / "o.csv"
+    res = runner.invoke(main, ["survey", cfg, "-o", str(out)])
+    assert res.exit_code == 2
+    assert "two slots" in res.output and not out.exists()
+
+
 def test_rank_ext_count(tmp_path):
     res = runner.invoke(main, ["gen", "diagonal", "--dims", "1,1,1", "--q", "2",
                                "-o", str(tmp_path / "d.json")])

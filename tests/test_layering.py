@@ -84,6 +84,16 @@ def test_one_deepening_driver(name):
     assert callers == {("ranks", "_deepen")}
 
 
+@pytest.mark.parametrize("name,owner", [
+    # one price model: the level prices _deepen plans once per search
+    ("gaussian_binomial", "_deepen"),
+    # one floor contract: the ladder is the slice search's floor alone
+    ("_ladder_floor", "slice_rank_exact"),
+])
+def test_one_search_plan(name, owner):
+    assert set(_callers(_tree("ranks"), name)) == {owner}
+
+
 def test_one_floor_path():
     # the slice search's floor comes from the count ladder alone, so no
     # second floor route grows beside it

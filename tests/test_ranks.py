@@ -1,5 +1,6 @@
 """Zero-set counts, analytic ranks, slice/subspace ranks, codim estimator."""
 
+import functools
 import itertools
 import math
 import time
@@ -9,10 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (_vanishes_on, enumerated_value_histogram, enumerated_zero_set_count,
-                     greedy_hyperplanes, naive_charsum_rank, naive_dot, naive_slice_rank,
-                     naive_subspace_rank, naive_zero_set_count, random_invertible,
-                     recursive_slice_rank)
+from oracles import (_vanishes_on, all_subspaces_bruteforce, enumerated_value_histogram,
+                     enumerated_zero_set_count, greedy_hyperplanes, naive_charsum_rank,
+                     naive_dot, naive_slice_rank, naive_subspace_rank, naive_zero_set_count,
+                     random_invertible, recursive_slice_rank)
 from trlab.errors import CapExceeded, InputError
 from trlab.forms import (MultilinearForm, gen_diagonal, gen_from_matrix,
                          gen_random, gen_rank_one, move_slot_first)
@@ -448,6 +449,14 @@ def test_analytic_d1_edge():
     p = MultilinearForm(F2, np.array([1, 0], dtype=np.int64))
     assert zero_set_count(p).count == 0
     assert analytic_rank_count(p) == math.inf
+    # a nonzero functional takes every value equally often: its character
+    # sum is 0 and it has no zeros: both routes give inf; the zero one gives 0
+    for ctx in (F2, F3, field_new(2, 2)):
+        for n in (1, 2, 3):
+            for p in [gen_random(ctx, (n,), s) for s in range(4)] + [
+                    MultilinearForm(ctx, np.zeros(n, dtype=np.int64))]:
+                want = 0 if p.is_zero() else math.inf
+                assert analytic_rank_count(p) == analytic_rank_charsum(p) == want
 
 
 # -- slice rank ------------------------------------------------------------------
@@ -805,7 +814,7 @@ def test_slice_search_runs_only_the_levels_from_the_floor():
     for seed in range(3):
         p = gen_random(F5, (3, 3, 3), seed)
         z = zero_set_count(p, 1)
-        old = R._deepen(F5, p.coeffs, p.dims, 1, R.SEARCH_CAP)
+        old = R._deepen(F5, p.coeffs, p.dims, lambda upper, price: 1, R.SEARCH_CAP)
         seen.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(R, "_first_vanishing", record)
@@ -815,6 +824,51 @@ def test_slice_search_runs_only_the_levels_from_the_floor():
         assert s.value == old[0] == 3 and s.exact
         assert all(np.array_equal(w.basis, b[i])
                    for w, b, i in zip(s.witness.subspaces, old[1], old[2]))
+
+
+@functools.lru_cache(maxsize=None)
+def _n_subspaces(ctx, n, k):
+    return len(all_subspaces_bruteforce(ctx, n, k))
+
+
+@st.composite
+def _price_cases(draw):
+    """(ctx, t, limits, floor, upper): a form with every slot cut, d = 2..4,
+    or the (L, n1, n2) stack of a span with its member slot never cut, over
+    GF(2), GF(3) or GF(4); upper, the least flattening rank of a slot that
+    may be cut, and a floor from 0 to upper + 1."""
+    ctx = draw(st.sampled_from([F2, F3, field_new(2, 2)]))
+    top = 3 if ctx.q == 2 else 2  # keeps the brute-force subspace lists small
+    if draw(st.booleans()):
+        dims = tuple(draw(st.lists(st.integers(1, top), min_size=2, max_size=4)))
+        limits = dims
+    else:
+        dims = tuple(draw(st.lists(st.integers(1, top), min_size=3, max_size=3)))
+        limits = (0,) + dims[1:]
+    t = np.array(draw(st.lists(st.integers(0, ctx.q - 1), min_size=math.prod(dims),
+                               max_size=math.prod(dims))), dtype=np.int64).reshape(dims)
+    upper = min(rank(Matrix(ctx, np.moveaxis(t, i, 0).reshape(n, -1)))
+                for i, n in enumerate(dims) if limits[i])
+    return ctx, t, limits, draw(st.integers(0, upper + 1)), upper
+
+
+@settings(max_examples=150, deadline=None)
+@given(_price_cases())
+def test_search_prices_every_level_by_the_subspace_counts(case):
+    # level r costs the subspace tuples of its compositions, counted by
+    # brute force; a search refused at cap 0 returns the cost of the levels
+    # from the floor, clamped to the least flattening rank, up to it
+    import trlab.ranks as R
+    ctx, t, limits, floor, upper = case
+    levels = [0] * (upper + 1)
+    for comp in itertools.product(*(range(m + 1) for m in limits)):
+        if sum(comp) <= upper:
+            levels[sum(comp)] += math.prod(_n_subspaces(ctx, n, n - c)
+                                           for n, c in zip(t.shape[:-1], comp))
+    seen = []
+    got = R._deepen(ctx, t, limits, lambda upper, price: seen.append(price) or floor, 0)
+    assert seen == [levels]
+    assert got == sum(levels[min(floor, upper):])
 
 
 @settings(max_examples=200, deadline=None)

@@ -265,6 +265,8 @@ def test_config_parsing_and_validation():
     assert cfg.ctx is F2 and cfg.point_cap == 100000 and cfg.d == 3
     with pytest.raises(InputError):
         config_from_obj({"field": {"p": 2, "e": 1}, "dims": [0]})
+    with pytest.raises(InputError, match="two slots"):  # the check suite needs two
+        config_from_obj({"field": {"p": 3, "e": 1}, "dims": [3], "count": 2})
     with pytest.raises(InputError):
         config_from_obj({"field": {"p": 2, "e": 1}, "dims": [2, 2], "count": -1})
     with pytest.raises(InputError):
